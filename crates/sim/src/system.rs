@@ -26,6 +26,7 @@
 
 use crate::config::SystemConfig;
 use crate::metrics::{CoreResult, RunResult};
+use crate::sched::WinnerTree;
 use cmp_cache::{
     AccessKind, AccessOutcome, Addr, CacheLine, CoreId, FillKind, InsertPos, LineAddr, LlcPolicy,
     MesiState, NullProbe, ObsEvent, ObsProbe, SetAssocCache, SetIdx, SpillDecision, SpillVictim,
@@ -476,13 +477,14 @@ impl<P: ObsProbe> CmpSystem<P> {
     /// *adaptive*: every [`PROBE_WINDOW`] accesses it measures the mean
     /// drain length, and below [`STEP_THRESHOLD`] it switches to *step
     /// mode* for the next [`STEP_RUN`] accesses — single-access
-    /// first-minimum picks with no horizon computation, no drain
-    /// entry/exit, and the accesses still served from the cached chunk
-    /// run. Both modes execute identical arithmetic in the identical
-    /// first-minimum order, so the interleaving (and every counter) stays
-    /// bit-identical to the streaming loop regardless of where the mode
-    /// switches land; the switch points themselves are access-count
-    /// driven and thus deterministic.
+    /// first-minimum picks from an O(log cores) winner tree, with no
+    /// horizon computation, no drain entry/exit, and the accesses still
+    /// served from the cached chunk run. Both modes execute identical
+    /// arithmetic in the identical first-minimum order, so the
+    /// interleaving (and every counter) stays bit-identical to the
+    /// streaming loop regardless of where the mode switches land; the
+    /// switch points themselves are access-count driven and thus
+    /// deterministic.
     ///
     /// `hook` runs with flushed, snapshot-able state after every
     /// `hook_every` global accesses (`0` = never) — the batched analogue
@@ -523,63 +525,71 @@ impl<P: ObsProbe> CmpSystem<P> {
         let mut probe_acc: u64 = 0;
         let mut probe_drains: u64 = 0;
         let mut step_left: u64 = 0;
+        let mut tree = WinnerTree::default();
         'sched: loop {
             // Step mode: drains have degenerated to ~single accesses, so
             // skip the horizon and the drain entry/exit entirely — pick
-            // the first-minimum core and execute exactly one access from
-            // its cached run, operating on the dense DrainCore in place.
-            while step_left > 0 {
-                let i = crate::sched::argmin(&clocks);
-                if drain[i].pos >= drain[i].len {
-                    refresh_chunk(&mut drain[i], &mut self.cores[i].source.feed);
-                }
-                let d = &mut drain[i];
-                let (addr, kind, stream) = if let Some(chunk) = &d.chunk {
-                    let idx = d.pos;
-                    d.pos = idx + 1;
-                    let kind = if chunk.store_words()[idx >> 6] >> (idx & 63) & 1 == 1 {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    };
-                    (Addr::new(chunk.addrs()[idx]), kind, chunk.streams()[idx])
-                } else {
-                    let acc = self.cores[i].source.feed.next_access();
-                    (acc.addr, acc.kind, acc.stream)
-                };
-                self.batched_access(i, &mut d.hot, d.inv_mf, &d.cpu, addr, kind, stream);
-                clocks[i] = d.hot.clock;
-                step_left -= 1;
-                let pause = self.batched_bookkeeping(
-                    i,
-                    &d.hot,
-                    instr_target,
-                    warmup_instrs,
-                    &mut d.warm_base,
-                    &mut d.ended,
-                    &mut until_hook,
-                );
-                match pause {
-                    None => {}
-                    Some(Pause::Resched) => unreachable!("step mode holds no horizon to lose"),
-                    Some(Pause::Done) => {
-                        self.commit_feeds(&mut drain);
-                        break 'sched;
+            // the first-minimum core from a winner tree over the clock
+            // mirror (rebuilt here, since drains moved the mirror behind
+            // its back) and execute exactly one access from its cached
+            // run, operating on the dense DrainCore in place.
+            if step_left > 0 {
+                tree.rebuild(&clocks);
+                let mut next = tree.winner();
+                while step_left > 0 {
+                    let i = next;
+                    if drain[i].pos >= drain[i].len {
+                        refresh_chunk(&mut drain[i], &mut self.cores[i].source.feed);
                     }
-                    Some(Pause::Hook) => {
-                        self.commit_feeds(&mut drain);
-                        until_hook = hook_period;
-                        if !hook(self) {
-                            return None;
+                    let d = &mut drain[i];
+                    let (addr, kind, stream) = if let Some(chunk) = &d.chunk {
+                        let idx = d.pos;
+                        d.pos = idx + 1;
+                        let kind = if chunk.store_words()[idx >> 6] >> (idx & 63) & 1 == 1 {
+                            AccessKind::Store
+                        } else {
+                            AccessKind::Load
+                        };
+                        (Addr::new(chunk.addrs()[idx]), kind, chunk.streams()[idx])
+                    } else {
+                        let acc = self.cores[i].source.feed.next_access();
+                        (acc.addr, acc.kind, acc.stream)
+                    };
+                    self.batched_access(i, &mut d.hot, d.inv_mf, &d.cpu, addr, kind, stream);
+                    clocks[i] = d.hot.clock;
+                    next = tree.update(i, d.hot.clock);
+                    step_left -= 1;
+                    let pause = self.batched_bookkeeping(
+                        i,
+                        &d.hot,
+                        instr_target,
+                        warmup_instrs,
+                        &mut d.warm_base,
+                        &mut d.ended,
+                        &mut until_hook,
+                    );
+                    match pause {
+                        None => {}
+                        Some(Pause::Resched) => unreachable!("step mode holds no horizon to lose"),
+                        Some(Pause::Done) => {
+                            self.commit_feeds(&mut drain);
+                            break 'sched;
                         }
-                        for (j, c) in self.cores.iter().enumerate() {
-                            drain[j] = DrainCore::load(c);
-                            clocks[j] = c.clock;
+                        Some(Pause::Hook) => {
+                            self.commit_feeds(&mut drain);
+                            until_hook = hook_period;
+                            if !hook(self) {
+                                return None;
+                            }
+                            for (j, c) in self.cores.iter().enumerate() {
+                                drain[j] = DrainCore::load(c);
+                                clocks[j] = c.clock;
+                            }
+                            // The hook may have moved anything — re-probe.
+                            step_left = 0;
+                            probe_acc = 0;
+                            probe_drains = 0;
                         }
-                        // The hook may have moved anything — re-probe.
-                        step_left = 0;
-                        probe_acc = 0;
-                        probe_drains = 0;
                     }
                 }
             }

@@ -618,7 +618,7 @@ mod tests {
         let mut w0 = ParallelBench::Ocean.thread_workload_sharing(0, 2, 5, spec);
         let mut w1 = ParallelBench::Ocean.thread_workload_sharing(1, 2, 5, spec);
         let pool_range = SHARING_POOL_BASE..SHARING_POOL_BASE + SHARING_POOL_LINES * LINE_BYTES;
-        let mut pool_lines = |w: &mut CoreWorkload| -> (HashSet<u64>, usize, usize) {
+        let pool_lines = |w: &mut CoreWorkload| -> (HashSet<u64>, usize, usize) {
             let mut lines = HashSet::new();
             let (mut stores, mut total) = (0, 0);
             for _ in 0..40_000 {

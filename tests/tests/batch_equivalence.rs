@@ -2,7 +2,7 @@
 //!
 //! The batched event loop drains whole trace-chunk runs per core instead of
 //! re-scheduling after every access; it must be *bit-identical* to the
-//! streaming interleave it replaced. Four layers of evidence:
+//! streaming interleave it replaced. Five layers of evidence:
 //!
 //! * every policy in the zoo produces the same `RunResult` *and* the same
 //!   end-state snapshot bytes under both front-ends;
@@ -11,14 +11,17 @@
 //! * the batched hook fires at *exactly* every `hook_every` global accesses
 //!   (the `ASCC_CKPT_EVERY` contract), and a run aborted at a mid-batch
 //!   checkpoint restores and finishes bit-identically;
+//! * at 16 and 32 cores, where drains degenerate and the loop runs in
+//!   step mode, the same identities hold for arena- and generator-fed
+//!   runs, through hooks and a mid-run restore;
 //! * a real mid-batch SIGKILL of a checkpointed `run_mix` child process,
 //!   followed by `ASCC_RESUME=1`, reproduces the uninterrupted run's
 //!   result byte-for-byte.
 
 use ascc_integration::{all_policies, small_config};
 use cmp_cache::{CacheGeometry, LlcPolicy};
-use cmp_sim::{mix_sources, CmpSystem, SweepPool, SystemConfig};
-use cmp_trace::two_app_mixes;
+use cmp_sim::{mix_sources, mix_workloads, CmpSystem, SweepPool, SystemConfig};
+use cmp_trace::{mixes_for, two_app_mixes};
 
 const INSTRS: u64 = 40_000;
 const WARMUP: u64 = 10_000;
@@ -63,7 +66,6 @@ fn batched_matches_streaming_for_every_policy() {
 /// goes through the batched loop's per-access fallback) is also identical.
 #[test]
 fn batched_matches_streaming_without_trace_chunks() {
-    use cmp_sim::mix_workloads;
     let cfg = small_config(2);
     let mix = &two_app_mixes()[1];
     for (a, b) in all_policies(&cfg).into_iter().zip(all_policies(&cfg)) {
@@ -172,6 +174,118 @@ fn mid_batch_checkpoint_restores_bit_identically() {
             "{name}: end snapshot diverged after mid-batch restore"
         );
     }
+}
+
+// ----- step mode: 16 and 32 cores ----------------------------------------
+//
+// At 16+ cores the drains above degenerate toward single accesses, and the
+// batched loop switches to step mode: first-minimum picks from a winner
+// tree. The 2-core cases never reach it. These runs are sized so it
+// engages, checked once by logging each step-run start: every 16-core
+// run entered step mode 6–7 times and every 32-core run 16 times, arena-
+// and generator-fed alike, and each of the 147 hook periods of the
+// 32-core cadence test re-entered it once after its re-probe.
+
+const WIDE_INSTRS: u64 = 20_000;
+const WIDE_WARMUP: u64 = 5_000;
+
+/// Baseline (every access local) and ASCC (spills, swaps and coherence
+/// traffic between the private L2s).
+fn wide_policy(cfg: &SystemConfig, ascc: bool) -> Box<dyn LlcPolicy> {
+    if ascc {
+        Box::new(ascc::AsccConfig::ascc(cfg.cores, cfg.l2.sets(), cfg.l2.ways()).build())
+    } else {
+        Box::new(cmp_cache::PrivateBaseline::new())
+    }
+}
+
+/// A `cores`-wide system over the first mix of that width, fed from the
+/// trace arena or from live generators.
+fn wide_sys(cores: usize, ascc: bool, arena: bool) -> CmpSystem {
+    let cfg = small_config(cores);
+    let mix = &mixes_for(cores)[0];
+    let policy = wide_policy(&cfg, ascc);
+    if arena {
+        CmpSystem::from_sources(cfg, policy, mix_sources(mix, SEED))
+    } else {
+        CmpSystem::new(cfg, policy, mix_workloads(mix, SEED))
+    }
+}
+
+fn assert_wide_step_mode_matches_streaming(arena: bool) {
+    for cores in [16, 32] {
+        for ascc in [false, true] {
+            let what = format!("{cores} cores, ascc={ascc}, arena={arena}");
+            let mut streaming = wide_sys(cores, ascc, arena);
+            let mut batched = wide_sys(cores, ascc, arena);
+            let rs = streaming.run_streaming(WIDE_INSTRS, WIDE_WARMUP);
+            let rb = batched.run_batched(WIDE_INSTRS, WIDE_WARMUP);
+            assert_eq!(rb, rs, "{what}: RunResult diverged in step mode");
+            assert!(
+                batched.snapshot() == streaming.snapshot(),
+                "{what}: end-state snapshot diverged in step mode"
+            );
+        }
+    }
+}
+
+#[test]
+fn step_mode_matches_streaming_at_16_and_32_cores_from_the_arena() {
+    assert_wide_step_mode_matches_streaming(true);
+}
+
+#[test]
+fn step_mode_matches_streaming_at_16_and_32_cores_from_generators() {
+    assert_wide_step_mode_matches_streaming(false);
+}
+
+/// 32 cores with a hook period coprime to `STEP_RUN` (2^16) and
+/// `PROBE_WINDOW` (2^11), so hooks land mid step run at shifting offsets:
+/// the hook fires on exact multiples, the hooked run equals streaming, and
+/// a run aborted at its third hook restores and finishes bit-identically.
+#[test]
+fn step_mode_hooks_and_mid_run_restore_at_32_cores() {
+    const EVERY: u64 = 7_001;
+    let mut streaming = wide_sys(32, true, true);
+    let rs = streaming.run_streaming(WIDE_INSTRS, WIDE_WARMUP);
+    let end = streaming.snapshot();
+
+    let mut hooked = wide_sys(32, true, true);
+    let mut fired = 0u64;
+    let rh = hooked
+        .try_run_batched(WIDE_INSTRS, WIDE_WARMUP, EVERY, |s| {
+            fired += 1;
+            assert_eq!(
+                s.total_accesses(),
+                fired * EVERY,
+                "hook #{fired} fired off-cadence"
+            );
+            true
+        })
+        .expect("an always-continue hook cannot abort the run");
+    assert!(fired >= 10, "run too short for the cadence ({fired} hooks)");
+    assert_eq!(rh, rs, "hooked RunResult diverged from streaming");
+    assert!(hooked.snapshot() == end, "hooked end state diverged");
+
+    let mut victim = wide_sys(32, true, true);
+    let mut ckpt = None;
+    let mut fired = 0u64;
+    let aborted = victim.try_run_batched(WIDE_INSTRS, WIDE_WARMUP, EVERY, |s| {
+        fired += 1;
+        ckpt = Some(s.snapshot());
+        fired < 3
+    });
+    assert!(aborted.is_none(), "the aborting hook must kill the run");
+    let mut resumed = wide_sys(32, true, true);
+    resumed
+        .restore(&ckpt.expect("a checkpoint"))
+        .unwrap_or_else(|e| panic!("restore: {e}"));
+    let rr = resumed.run_batched(WIDE_INSTRS, WIDE_WARMUP);
+    assert_eq!(rr, rs, "RunResult diverged after a mid-run restore");
+    assert!(
+        resumed.snapshot() == end,
+        "end state diverged after restore"
+    );
 }
 
 // ----- real SIGKILL + ASCC_RESUME=1, end to end through run_mix ----------
