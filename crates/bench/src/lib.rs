@@ -17,6 +17,8 @@
 //!   tailing, live snapshots and Prometheus `/metrics` over the
 //!   `ascc_serve` HTTP substrate.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod config;
 pub mod orchestrate;

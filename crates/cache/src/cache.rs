@@ -47,6 +47,28 @@ fn find_way(tags: &[u64], raw: u64) -> Option<usize> {
     (found != usize::MAX).then_some(found)
 }
 
+/// Hints the host CPU to pull the cache line holding `value` into its
+/// L1 data cache. A pure performance hint: no state changes, and on
+/// targets without a prefetch instruction it does nothing.
+///
+/// This is the workspace's one `unsafe` block. Taking `&T` rather than a
+/// pointer keeps it sound by construction: a live reference is always in
+/// bounds, so callers cannot ask it to form a pointer past an allocation.
+#[inline(always)]
+#[allow(unsafe_code)]
+pub fn host_prefetch<T>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the pointer comes from a live reference, and `_mm_prefetch`
+    // only hints the cache hierarchy — it dereferences nothing and cannot
+    // fault.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch((value as *const T).cast::<i8>(), _MM_HINT_T0);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
+}
+
 /// A set-associative cache with true-LRU recency tracking and pluggable
 /// insertion positions.
 ///
@@ -183,22 +205,17 @@ impl SetAssocCache {
         find_way(&self.tags[self.row(set)], raw).map(|w| (set, WayIdx(w as u16)))
     }
 
-    /// Hints the hardware prefetcher at the tag row of `set` — used by the
-    /// batched engine to pull the next access's set slab into cache while
-    /// the current access is still being processed. Pure performance hint:
-    /// no simulator-visible state changes.
+    /// Hints the host CPU at the tag row of `set` — used by the batched
+    /// engine to pull an upcoming access's set slab into cache ahead of
+    /// the access. Pure performance hint: no simulator-visible state
+    /// changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` is out of range.
     #[inline]
     pub fn prefetch_set(&self, set: SetIdx) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `row(set)` is in bounds for `tags`, so the pointer is
-        // derived from a live allocation; prefetch dereferences nothing.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let base = set.index() * self.geometry.ways() as usize;
-            _mm_prefetch(self.tags.as_ptr().add(base).cast::<i8>(), _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = set;
+        host_prefetch(&self.tags[set.index() * self.geometry.ways() as usize]);
     }
 
     /// Performs a local access: on a hit the line is promoted to MRU and its

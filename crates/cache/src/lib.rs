@@ -45,6 +45,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_code)]
 
 mod cache;
 mod geometry;
@@ -58,7 +59,7 @@ mod set;
 mod stats;
 mod types;
 
-pub use cache::SetAssocCache;
+pub use cache::{host_prefetch, SetAssocCache};
 pub use geometry::{CacheGeometry, GeometryError};
 pub use lru_model::{FullyAssocLru, LruOutcome};
 pub use mesi::MesiState;

@@ -101,8 +101,11 @@ impl SpillDecision {
 /// 4. [`spill_insert_pos`](LlcPolicy::spill_insert_pos) and
 ///    [`choose_victim`](LlcPolicy::choose_victim) (with
 ///    [`FillKind::Spill`]) on the receiving side;
-/// 5. [`on_cycle`](LlcPolicy::on_cycle) periodically with the owning core's
-///    clock, for cycle-based epochs such as the QoS recalculation.
+/// 5. [`on_cycle`](LlcPolicy::on_cycle) after every access with the
+///    owning core's clock, for cycle-based epochs such as the QoS
+///    recalculation — but only when
+///    [`has_cycle_work`](LlcPolicy::has_cycle_work) is `true`, read once
+///    when the simulator is built.
 pub trait LlcPolicy {
     /// Human-readable policy name, used in experiment tables.
     fn name(&self) -> &str;
@@ -242,8 +245,22 @@ pub trait LlcPolicy {
 
     /// Periodic hook with `core`'s current cycle count (for cycle-based
     /// epochs, e.g. the QoS ratio recomputation every 100 000 cycles).
+    ///
+    /// The simulator calls it only if
+    /// [`has_cycle_work`](LlcPolicy::has_cycle_work) is `true`.
     fn on_cycle(&mut self, core: CoreId, cycles: u64) {
         let _ = (core, cycles);
+    }
+
+    /// Whether [`on_cycle`](LlcPolicy::on_cycle) can change any state.
+    ///
+    /// The simulator reads this once, when it is built, and skips the
+    /// per-access `on_cycle` call for policies that return `false` (the
+    /// default). A policy that overrides `on_cycle` with real work must
+    /// return `true` for every configuration in which that work runs;
+    /// wrappers forward their inner policy's answer.
+    fn has_cycle_work(&self) -> bool {
+        false
     }
 
     /// Self-checks the policy's internal invariants (counter ranges, role

@@ -564,6 +564,10 @@ impl LlcPolicy for AvgccPolicy {
         out
     }
 
+    fn has_cycle_work(&self) -> bool {
+        self.cfg.qos
+    }
+
     fn on_cycle(&mut self, core: CoreId, cycles: u64) {
         if !self.cfg.qos {
             return;

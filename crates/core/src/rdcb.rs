@@ -258,6 +258,10 @@ impl LlcPolicy for RdcbPolicy {
         self.inner.on_cycle(core, cycles);
     }
 
+    fn has_cycle_work(&self) -> bool {
+        self.inner.has_cycle_work()
+    }
+
     fn check_invariants(&self) -> Vec<String> {
         let mut out = self.inner.check_invariants();
         for (core, &t) in self.clock.iter().enumerate() {

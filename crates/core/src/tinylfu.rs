@@ -369,6 +369,10 @@ impl LlcPolicy for TinyLfuPolicy {
         self.inner.on_cycle(core, cycles);
     }
 
+    fn has_cycle_work(&self) -> bool {
+        self.inner.has_cycle_work()
+    }
+
     fn check_invariants(&self) -> Vec<String> {
         let mut out = self.inner.check_invariants();
         if self.samples >= self.cfg.sample_period {

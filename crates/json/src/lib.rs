@@ -7,6 +7,8 @@
 //! Numbers are `f64`, which covers every counter this workspace records
 //! exactly up to 2^53.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// A JSON document or fragment.

@@ -1,6 +1,7 @@
-//! The CMP simulator: private two-level hierarchies over a snoop bus, an
-//! analytical core timing model, and the spill/swap orchestration that the
-//! LLC policies steer.
+//! The CMP simulator: private two-level hierarchies kept coherent by a
+//! coherence fabric (a sharer directory by default, the spec-literal
+//! broadcast snoop bus as its reference), an analytical core timing model,
+//! and the spill/swap orchestration that the LLC policies steer.
 //!
 //! ## Timing model
 //!
@@ -16,10 +17,12 @@
 //! ## Memory-system behaviour per L2 access
 //!
 //! 1. local hit (9 cycles): recency promoted, SSL/PSEL counters informed;
-//! 2. remote hit (25 cycles): found by the MESI broadcast in a peer LLC;
-//!    migrated home (multiprogrammed) or replicated (multithreaded). If the
-//!    policy enables §3.2 swapping and both the requested line and the
-//!    local victim are last copies, they exchange places;
+//! 2. remote hit (25 cycles): found in a peer LLC through the fabric (the
+//!    directory probes only the recorded holders, the snoop bus every
+//!    peer); migrated home (multiprogrammed) or replicated
+//!    (multithreaded). If the policy enables §3.2 swapping and both the
+//!    requested line and the local victim are last copies, they exchange
+//!    places;
 //! 3. memory (460 cycles): fetched; the victim, if it was the last on-chip
 //!    copy, is offered to the policy for spilling into a peer's same-index
 //!    set.
@@ -28,9 +31,9 @@ use crate::config::SystemConfig;
 use crate::metrics::{CoreResult, RunResult};
 use crate::sched::WinnerTree;
 use cmp_cache::{
-    AccessKind, AccessOutcome, Addr, CacheLine, CoreId, FillKind, InsertPos, LineAddr, LlcPolicy,
-    MesiState, NullProbe, ObsEvent, ObsProbe, SetAssocCache, SetIdx, SpillDecision, SpillVictim,
-    StridePrefetcher,
+    host_prefetch, AccessKind, AccessOutcome, Addr, CacheLine, CoreId, FillKind, InsertPos,
+    LineAddr, LlcPolicy, MesiState, NullProbe, ObsEvent, ObsProbe, SetAssocCache, SetIdx,
+    SpillDecision, SpillVictim, StridePrefetcher,
 };
 use cmp_coherence::{CoherenceFabric, Fabric, ReadPolicy};
 use cmp_trace::{CoreSource, CoreWorkload};
@@ -43,8 +46,9 @@ pub fn batch_enabled() -> bool {
     std::env::var("ASCC_BATCH").map_or(true, |v| v != "0")
 }
 
-/// Accesses the batched engine looks ahead in the chunk when prefetching
-/// the upcoming access's simulated L1 tag row.
+/// Accesses the batched engine looks ahead in the chunk when prefetching:
+/// drains prefetch the simulated L1 tag row of the access this far ahead,
+/// step mode the chunk's address line this far ahead.
 const PF_DIST: usize = 8;
 
 /// Accesses per adaptive-mode probe window: in drain mode the loop
@@ -230,6 +234,9 @@ pub struct CmpSystem<P: ObsProbe = NullProbe> {
     l2s: Vec<SetAssocCache>,
     fabric: Fabric,
     policy: Box<dyn LlcPolicy>,
+    /// [`LlcPolicy::has_cycle_work`], read once at construction: when
+    /// `false`, the per-access `on_cycle` call is skipped.
+    cycle_work: bool,
     prefetchers: Vec<StridePrefetcher>,
     pf_buf: Vec<LineAddr>,
     cores: Vec<CoreState>,
@@ -363,6 +370,7 @@ impl<P: ObsProbe> CmpSystem<P> {
                     end_snap: None,
                 })
                 .collect(),
+            cycle_work: policy.has_cycle_work(),
             policy,
             global: GlobalCounters::default(),
             global_warm: None,
@@ -479,12 +487,15 @@ impl<P: ObsProbe> CmpSystem<P> {
     /// mode* for the next [`STEP_RUN`] accesses — single-access
     /// first-minimum picks from an O(log cores) winner tree, with no
     /// horizon computation, no drain entry/exit, and the accesses still
-    /// served from the cached chunk run. Both modes execute identical
-    /// arithmetic in the identical first-minimum order, so the
-    /// interleaving (and every counter) stays bit-identical to the
-    /// streaming loop regardless of where the mode switches land; the
-    /// switch points themselves are access-count driven and thus
-    /// deterministic.
+    /// served from the cached chunk run. Step mode rotates through every
+    /// core before it returns to one, so after each chunk-fed access it
+    /// prefetches what that core will touch next: its next access's L1
+    /// tag row and the chunk's address line [`PF_DIST`] accesses ahead.
+    /// Both modes execute identical arithmetic in the identical
+    /// first-minimum order, so the interleaving (and every counter) stays
+    /// bit-identical to the streaming loop regardless of where the mode
+    /// switches land; the switch points themselves are access-count
+    /// driven and thus deterministic.
     ///
     /// `hook` runs with flushed, snapshot-able state after every
     /// `hook_every` global accesses (`0` = never) — the batched analogue
@@ -556,6 +567,19 @@ impl<P: ObsProbe> CmpSystem<P> {
                         (acc.addr, acc.kind, acc.stream)
                     };
                     self.batched_access(i, &mut d.hot, d.inv_mf, &d.cpu, addr, kind, stream);
+                    // Schedule-ahead prefetch: the loop now rotates
+                    // through the other cores before it comes back here,
+                    // so warm what this core will need then — its next
+                    // access's L1 tag row, and the chunk's address line
+                    // PF_DIST accesses ahead.
+                    if let Some(chunk) = &d.chunk {
+                        if d.pos < d.len {
+                            let addrs = chunk.addrs();
+                            let next = Addr::new(addrs[d.pos]).line(offset_bits);
+                            self.l1s[i].prefetch_set(self.cfg.l1.set_of(next));
+                            host_prefetch(&addrs[(d.pos + PF_DIST).min(d.len - 1)]);
+                        }
+                    }
                     clocks[i] = d.hot.clock;
                     next = tree.update(i, d.hot.clock);
                     step_left -= 1;
@@ -796,7 +820,9 @@ impl<P: ObsProbe> CmpSystem<P> {
             h.clock += stall;
             h.cycles += stall;
         }
-        self.policy.on_cycle(CoreId(i as u8), h.clock as u64);
+        if self.cycle_work {
+            self.policy.on_cycle(CoreId(i as u8), h.clock as u64);
+        }
         if P::ACTIVE {
             self.forward_policy_events();
             if self.epoch_accesses > 0 && self.epoch_counter >= self.epoch_accesses {
@@ -1053,8 +1079,9 @@ impl<P: ObsProbe> CmpSystem<P> {
         if !acc.kind.is_store() && latency > 0 {
             c.cycles_add(latency as f64 * cpu.overlap);
         }
-        let clock = c.clock as u64;
-        self.policy.on_cycle(CoreId(i as u8), clock);
+        if self.cycle_work {
+            self.policy.on_cycle(CoreId(i as u8), c.clock as u64);
+        }
         if P::ACTIVE {
             self.forward_policy_events();
             if self.epoch_accesses > 0 && self.epoch_counter >= self.epoch_accesses {

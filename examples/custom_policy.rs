@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release -p ascc-examples --bin custom_policy`
 
+#![forbid(unsafe_code)]
+
 use ascc::AsccConfig;
 use cmp_cache::{
     AccessOutcome, CoreId, LlcPolicy, PrivateBaseline, SetIdx, SpillDecision, SpillVictim,

@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release -p ascc-examples --bin policy_comparison`
 
+#![forbid(unsafe_code)]
+
 use ascc::{AsccConfig, AvgccConfig};
 use cmp_cache::{LlcPolicy, PrivateBaseline};
 use cmp_sim::{run_mix, weighted_speedup_improvement, RunResult, SystemConfig};

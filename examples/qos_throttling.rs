@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release -p ascc-examples --bin qos_throttling`
 
+#![forbid(unsafe_code)]
+
 use ascc::AvgccConfig;
 use cmp_cache::{CoreId, PrivateBaseline};
 use cmp_sim::{mix_workloads, run_mix, weighted_speedup_improvement, CmpSystem, SystemConfig};

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release -p ascc-examples --bin quickstart`
 
+#![forbid(unsafe_code)]
+
 use ascc::AvgccConfig;
 use cmp_cache::PrivateBaseline;
 use cmp_sim::{run_mix, weighted_speedup_improvement, SystemConfig};

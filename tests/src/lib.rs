@@ -6,6 +6,8 @@
 //! oracle-vs-engine differential harness, shared between the fuzzing
 //! tests and `trace_tool repro`.
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 
 use ascc::{ArcConfig, AsccConfig, AvgccConfig, RdcbConfig, TinyLfuConfig};

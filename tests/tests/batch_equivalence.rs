@@ -13,7 +13,8 @@
 //!   checkpoint restores and finishes bit-identically;
 //! * at 16 and 32 cores, where drains degenerate and the loop runs in
 //!   step mode, the same identities hold for arena- and generator-fed
-//!   runs, through hooks and a mid-run restore;
+//!   runs, through hooks and a mid-run restore, and across chunk edges
+//!   every 1 to 64 accesses;
 //! * a real mid-batch SIGKILL of a checkpointed `run_mix` child process,
 //!   followed by `ASCC_RESUME=1`, reproduces the uninterrupted run's
 //!   result byte-for-byte.
@@ -286,6 +287,58 @@ fn step_mode_hooks_and_mid_run_restore_at_32_cores() {
         resumed.snapshot() == end,
         "end state diverged after restore"
     );
+}
+
+/// Step mode's schedule-ahead prefetch reads the chunk at a core's next
+/// access and `PF_DIST` past it, clamped to the chunk, and a chunk
+/// boundary sends the core through `refresh_chunk`. Arena chunks hold 64 Ki
+/// accesses, so the runs above cross few boundaries; here every core
+/// replays its own `SharedTrace` cut into chunks of `k` accesses, so a
+/// boundary falls every access (k = 1), at odd offsets (7, 9: below and
+/// just above `PF_DIST`) or every 64 (one store word). Step mode was
+/// checked to engage by logging each step-run start on a build of this
+/// test: each of the eight batched runs entered it 16 times.
+#[test]
+fn step_mode_matches_streaming_across_chunk_edges_at_32_cores() {
+    use cmp_sim::{core_seed, CORE_SPACE_BITS};
+    use cmp_trace::{AccessFeed, CoreSource, SharedTrace};
+    let cfg = small_config(32);
+    let mix = &mixes_for(32)[0];
+    for k in [1, 7, 9, 64] {
+        let traces: Vec<_> = mix
+            .benches
+            .iter()
+            .enumerate()
+            .map(|(i, &bench)| {
+                let (base, seed) = ((i as u64) << CORE_SPACE_BITS, core_seed(SEED, i));
+                let trace =
+                    SharedTrace::with_chunk_accesses(move || bench.workload(base, seed).stream, k);
+                (bench, trace)
+            })
+            .collect();
+        let sources = || {
+            traces
+                .iter()
+                .map(|(bench, trace)| CoreSource {
+                    label: bench.name().to_string(),
+                    cpu: bench.cpu_model(),
+                    feed: AccessFeed::Replay(trace.cursor()),
+                })
+                .collect()
+        };
+        for ascc in [false, true] {
+            let what = format!("chunks of {k}, ascc={ascc}");
+            let sys = || CmpSystem::from_sources(cfg.clone(), wide_policy(&cfg, ascc), sources());
+            let (mut streaming, mut batched) = (sys(), sys());
+            let rs = streaming.run_streaming(WIDE_INSTRS, WIDE_WARMUP);
+            let rb = batched.run_batched(WIDE_INSTRS, WIDE_WARMUP);
+            assert_eq!(rb, rs, "{what}: RunResult diverged in step mode");
+            assert!(
+                batched.snapshot() == streaming.snapshot(),
+                "{what}: end-state snapshot diverged in step mode"
+            );
+        }
+    }
 }
 
 // ----- real SIGKILL + ASCC_RESUME=1, end to end through run_mix ----------
