@@ -1,24 +1,19 @@
 //! End-to-end simulator throughput: simulated L1 accesses per wall-clock
-//! second, per policy, per access front-end (streaming generation vs
-//! shared materialized-trace replay vs the batched event loop over replay),
-//! at one worker and at the machine's worker count.
+//! second, per policy, per access front-end (live generation vs shared
+//! materialized-trace replay, both through the one event loop, DESIGN.md
+//! §5h), at one worker and at the machine's worker count.
 //!
 //! This is the engine-level benchmark the cache-arena layout, the
 //! [`cmp_sim::SweepPool`] fan-out and the trace arena are aimed at: each
-//! row sweeps the same four 2-app mixes under one policy and divides the
+//! row sweeps the same four mixes under one policy and divides the
 //! simulated accesses of the measured windows by the wall-clock of the
 //! whole sweep (warmup included, identically in every row). The
-//! `streaming` rows regenerate every access from the workload generator
-//! stack (the pre-arena engine); the `arena` rows replay shared
-//! materialized chunks through the per-access interleave; the `batched`
-//! rows drain those chunks through the batched event loop (DESIGN.md §5h)
-//! — all measured with the arena warm (one untimed warming sweep runs
-//! first). A generator-only microbenchmark separates front-end cost from
-//! engine cost. Per-worker rates are reported next to the aggregate, since
-//! the engine target (≥25M acc/s per core) is a per-worker number.
-//! Results go to stdout and to `BENCH_throughput.json` (override with
-//! `ASCC_BENCH_OUT`). `--check-batched` exits nonzero when the batched
-//! front-end is slower than streaming — the CI regression gate.
+//! `generator` rows regenerate every access from the workload generator
+//! stack; the `arena` rows replay shared materialized chunks — measured
+//! with the arena warm (one untimed warming sweep runs first). A
+//! generator-only microbenchmark separates front-end cost from engine
+//! cost. Results go to stdout and to `BENCH_throughput.json` (override
+//! with `ASCC_BENCH_OUT`).
 //!
 //! `ASCC_QUICK=1` gives a fast smoke run; `ASCC_INSTRS`/`ASCC_WARMUP`
 //! rescale as usual. `--jobs` (or `ASCC_JOBS`) sets the "many workers"
@@ -26,7 +21,7 @@
 //! always measured with an explicit single-worker pool. `--cores` (or
 //! `ASCC_CORES`) sets the simulated core count of the main sweep
 //! (default 2). `ASCC_TRACE_CACHE=0` disables the arena, making the
-//! `arena` rows a second streaming measurement (the JSON records
+//! `arena` rows a second generator measurement (the JSON records
 //! `trace_cache` so the two configurations stay distinguishable in
 //! archived results). See `--help` for the full flag ↔ env mapping.
 //!
@@ -34,12 +29,19 @@
 //! cores (or just `--cores` when given) on both coherence fabrics,
 //! reporting tag probes per L1 access. Broadcast probes grow with the
 //! core count; the sharer-bitmask directory's stay flat — that contrast
-//! is the `scaling` block of the JSON artifact, and `--check-batched`
-//! also fails if the directory ever probes more than broadcast or falls
-//! behind it in throughput.
+//! is the `scaling` block of the JSON artifact.
+//!
+//! First of all, the scaling gate measures ASCC on the directory fabric
+//! at 2 and 16 cores in this process, with the same fixed work at every
+//! scale, and records ns per simulated access at each and their 16/2
+//! ratio as the `scaling_gate` block. `--check-scaling` is the CI gate:
+//! it exits nonzero if that ratio exceeds the one committed in
+//! `BENCH_throughput.json` by more than 15% (re-measuring twice before
+//! it fails), or if the directory ever probes more than broadcast or, at
+//! full scale, falls behind it in throughput.
 
 use ascc_bench::cli::Cli;
-use ascc_bench::scaling::{scaling_sweep, scaling_table};
+use ascc_bench::scaling::{scaling_row, scaling_sweep, scaling_table};
 use ascc_bench::{print_table, Policy, Scale};
 use cmp_coherence::FabricKind;
 use cmp_json::Value;
@@ -56,26 +58,37 @@ const MIXES: usize = 4;
 
 #[derive(Clone, Copy, PartialEq)]
 enum FrontEnd {
-    Streaming,
+    Generator,
     Arena,
-    Batched,
 }
 
 impl FrontEnd {
     fn label(self) -> &'static str {
         match self {
-            FrontEnd::Streaming => "streaming",
+            FrontEnd::Generator => "generator",
             FrontEnd::Arena => "arena",
-            FrontEnd::Batched => "batched",
         }
     }
 }
 
-const FRONT_ENDS: [FrontEnd; 3] = [FrontEnd::Streaming, FrontEnd::Arena, FrontEnd::Batched];
+const FRONT_ENDS: [FrontEnd; 2] = [FrontEnd::Generator, FrontEnd::Arena];
+
+/// The scaling gate's two core counts and the slack its 16/2 ns-per-access
+/// ratio gets over the committed reference.
+const GATE_CORES: [usize; 2] = [2, 16];
+const GATE_SLACK: f64 = 1.15;
+
+/// The gate's work, fixed whatever scale the rest of the run uses (the
+/// scaling rows have no warm-up), so the reference a full-scale run
+/// commits is comparable with every CI run.
+const GATE_SCALE: Scale = Scale {
+    instrs: 1_200_000,
+    warmup: 0,
+    seed: 42,
+};
 
 struct Row {
     policy: String,
-    policy_enum: Policy,
     front_end: FrontEnd,
     jobs: usize,
     wall_s: f64,
@@ -87,8 +100,7 @@ impl Row {
         self.accesses as f64 / self.wall_s.max(1e-9)
     }
 
-    /// Engine rate per worker thread — the per-core number the ≥25M
-    /// acc/s/core target is stated against.
+    /// Engine rate per worker thread.
     fn per_sec_per_worker(&self) -> f64 {
         self.per_sec() / self.jobs.max(1) as f64
     }
@@ -108,24 +120,14 @@ fn run_one(
     scale: Scale,
     front_end: FrontEnd,
 ) -> RunResult {
-    // Explicit run_streaming/run_batched (not env-dispatched run()) so all
-    // three rows are measured in one process regardless of ASCC_BATCH.
-    match front_end {
-        FrontEnd::Streaming => CmpSystem::new(
-            cfg.clone(),
-            policy.build(cfg),
-            mix_workloads(mix, scale.seed),
-        )
-        .run_streaming(scale.instrs, scale.warmup),
-        FrontEnd::Arena => {
-            CmpSystem::from_sources(cfg.clone(), policy.build(cfg), mix_sources(mix, scale.seed))
-                .run_streaming(scale.instrs, scale.warmup)
-        }
-        FrontEnd::Batched => {
-            CmpSystem::from_sources(cfg.clone(), policy.build(cfg), mix_sources(mix, scale.seed))
-                .run_batched(scale.instrs, scale.warmup)
-        }
-    }
+    let sources = match front_end {
+        FrontEnd::Generator => mix_workloads(mix, scale.seed)
+            .into_iter()
+            .map(Into::into)
+            .collect(),
+        FrontEnd::Arena => mix_sources(mix, scale.seed),
+    };
+    CmpSystem::from_sources(cfg.clone(), policy.build(cfg), sources).run(scale.instrs, scale.warmup)
 }
 
 fn sweep(
@@ -142,7 +144,6 @@ fn sweep(
     });
     Row {
         policy: policy.label(),
-        policy_enum: policy,
         front_end,
         jobs: pool.jobs(),
         wall_s: t0.elapsed().as_secs_f64(),
@@ -184,20 +185,67 @@ fn generator_rates(mix: &WorkloadMix, scale: Scale, accesses: u64) -> (f64, f64)
     (streaming, replay)
 }
 
+/// ns per simulated access of ASCC on the directory fabric at each of
+/// [`GATE_CORES`]. After an untimed run of each warms the trace arena,
+/// five timed rounds alternate the two widths, so host drift lands on
+/// both, and each side keeps its best.
+fn gate_ns_per_access() -> [f64; 2] {
+    for cores in GATE_CORES {
+        let _ = scaling_row(cores, FabricKind::Directory, GATE_SCALE);
+    }
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..5 {
+        for (b, cores) in best.iter_mut().zip(GATE_CORES) {
+            *b = b.min(scaling_row(cores, FabricKind::Directory, GATE_SCALE).ns_per_access());
+        }
+    }
+    best
+}
+
+/// The 16/2 ratio committed in `BENCH_throughput.json`, read before this
+/// run overwrites it.
+fn committed_gate_ratio() -> Result<f64, String> {
+    let path = "BENCH_throughput.json";
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let doc = Value::parse(&text).map_err(|e| format!("parse {path}: {e:?}"))?;
+    let gate = doc
+        .get("scaling_gate")
+        .ok_or_else(|| format!("{path} has no scaling_gate block"))?;
+    let instrs = gate
+        .get("scale")
+        .and_then(|s| s.get("instrs"))
+        .and_then(Value::as_u64);
+    if instrs != Some(GATE_SCALE.instrs) {
+        return Err(format!(
+            "{path}'s scaling_gate was measured at another scale"
+        ));
+    }
+    gate.get("ratio")
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("{path}'s scaling_gate has no ratio"))
+}
+
 fn main() {
     let parsed = Cli::new(
         "sim_throughput",
         "simulated accesses per wall-clock second, per policy and front-end",
     )
     .flag(
-        "--check-batched",
-        "exit nonzero if batched acc/s falls below streaming (CI gate)",
+        "--check-scaling",
+        "exit nonzero if the 16/2-core ns/acc ratio regresses >15% or the directory loses to broadcast (CI gate)",
     )
     .harness_flags()
     .parse();
     let config = parsed.run_config().unwrap_or_else(|e| {
         eprintln!("sim_throughput: {e}");
         std::process::exit(2);
+    });
+    let check = parsed.has("--check-scaling");
+    let reference = check.then(|| {
+        committed_gate_ratio().unwrap_or_else(|e| {
+            eprintln!("sim_throughput: no scaling reference: {e}");
+            std::process::exit(2);
+        })
     });
     // Republish before the pool and arena latch their first env read.
     config.apply();
@@ -207,15 +255,50 @@ fn main() {
     let mixes = mixes_for(cores);
     let many = SweepPool::from_env();
     println!(
-        "sim_throughput: {} cores, {} mixes x {} policies x 3 front-ends, {} + {} worker(s), {} instrs/core (trace cache {})",
+        "sim_throughput: {} cores, {} mixes x {} policies x {} front-ends, {} + {} worker(s), {} instrs/core (trace cache {})",
         cores,
         MIXES.min(mixes.len()),
         POLICIES.len(),
+        FRONT_ENDS.len(),
         1,
         many.jobs(),
         scale.instrs,
         if trace_cache_enabled() { "on" } else { "off" },
     );
+
+    // The scaling gate runs first, so the process it measures in (trace
+    // arena, heap) is the same whatever the rest of the run does. It is a
+    // same-process ratio, so it holds on any host. One slow sample on a
+    // shared host is not yet a regression — re-measure twice and gate on
+    // the best ratio seen; a real slowdown fails every time, scheduler
+    // jitter does not.
+    let mut gate = gate_ns_per_access();
+    let ratio_of = |ns: [f64; 2]| ns[1] / ns[0].max(1e-9);
+    let mut ratio = ratio_of(gate);
+    println!(
+        "scaling gate: {:.1} ns/acc at {} cores, {:.1} at {}: {:.2}x",
+        gate[0], GATE_CORES[0], gate[1], GATE_CORES[1], ratio
+    );
+    let mut scaling_regressed = false;
+    if let Some(reference) = reference {
+        let limit = reference * GATE_SLACK;
+        for retry in 1..=2 {
+            if ratio <= limit {
+                break;
+            }
+            let again = gate_ns_per_access();
+            println!("  re-measure #{retry}: {:.2}x", ratio_of(again));
+            if ratio_of(again) < ratio {
+                gate = again;
+                ratio = ratio_of(again);
+            }
+        }
+        println!("  committed reference {reference:.2}x, limit {limit:.2}x");
+        if ratio > limit {
+            eprintln!("regression: {ratio:.2}x exceeds {limit:.2}x");
+            scaling_regressed = true;
+        }
+    }
 
     let gen_accesses = (scale.instrs / 2).clamp(200_000, 8_000_000);
     let (gen_streaming, gen_replay) = generator_rates(&mixes[0], scale, gen_accesses);
@@ -278,125 +361,37 @@ fn main() {
     println!();
     print_table(&headers, &table);
 
-    // Before/after per (policy, jobs): each upgraded front-end over its
-    // predecessor (arena over streaming, batched over both).
-    let pairs = [
-        (FrontEnd::Streaming, FrontEnd::Arena),
-        (FrontEnd::Streaming, FrontEnd::Batched),
-        (FrontEnd::Arena, FrontEnd::Batched),
-    ];
+    // Arena replay over live generation, per (policy, jobs).
     let mut speedups: Vec<Value> = Vec::new();
-    let mut batched_regressed = false;
-    // The arena gate tolerates a little noise: the batched loop's chunk
-    // scheduling costs a few percent on the cheapest policies, and two
-    // timed sweeps of the same binary jitter by about as much. Default
-    // 0.95, overridable for stricter or looser CI machines. Quick runs
-    // (sub-second walls) only enforce the original streaming floor —
-    // ratios between 0.05 s measurements are noise, not regressions.
-    let quick = std::env::var("ASCC_QUICK").is_ok_and(|v| v != "0");
-    let arena_slack = std::env::var("ASCC_BATCHED_SLACK")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|s| (0.0..=1.0).contains(s))
-        .unwrap_or(if quick { 0.0 } else { 0.95 });
-    for (base_fe, new_fe) in pairs {
-        for after in rows.iter().filter(|r| r.front_end == new_fe) {
-            let Some(before) = rows.iter().find(|b| {
-                b.front_end == base_fe && b.policy == after.policy && b.jobs == after.jobs
-            }) else {
-                continue;
-            };
-            let s = after.per_sec() / before.per_sec().max(1e-9);
-            println!(
-                "speedup {} over {} {} jobs={}: {:.2}x ({:.0} -> {:.0} acc/s)",
-                new_fe.label(),
-                base_fe.label(),
-                after.policy,
-                after.jobs,
-                s,
-                before.per_sec(),
-                after.per_sec()
-            );
-            if new_fe == FrontEnd::Batched {
-                // Gate per policy: batched must beat streaming outright and
-                // stay within `arena_slack` of the arena row. Quick smoke
-                // runs relax the streaming floor to 0.85: their sub-second
-                // walls jitter ~10% on a shared host, so parity engines
-                // trip a strict 1.0 floor on noise alone, while a real
-                // engine regression (the pre-adaptive batched loop ran at
-                // 0.7-0.8x of streaming at 16 cores) still fails.
-                let floor = match base_fe {
-                    FrontEnd::Streaming if quick => 0.85,
-                    FrontEnd::Streaming => 1.0,
-                    FrontEnd::Arena => arena_slack,
-                    FrontEnd::Batched => continue,
-                };
-                if s < floor {
-                    // One sample below the floor on a shared host is not
-                    // yet a regression: re-measure the pair with fresh
-                    // paired sweeps and gate on the best ratio observed. A
-                    // real slowdown fails every retry; scheduler jitter
-                    // and cold-cache bad luck do not.
-                    let mut best = s;
-                    for retry in 1..=2 {
-                        if best >= floor {
-                            break;
-                        }
-                        let pool = SweepPool::with_jobs(after.jobs);
-                        let b = sweep(&cfg, &mixes, after.policy_enum, scale, pool, base_fe);
-                        let pool = SweepPool::with_jobs(after.jobs);
-                        let a = sweep(&cfg, &mixes, after.policy_enum, scale, pool, new_fe);
-                        let r = a.per_sec() / b.per_sec().max(1e-9);
-                        println!(
-                            "  re-measure #{retry} {} over {} {} jobs={}: {:.2}x",
-                            new_fe.label(),
-                            base_fe.label(),
-                            after.policy,
-                            after.jobs,
-                            r
-                        );
-                        best = best.max(r);
-                    }
-                    if best < floor {
-                        eprintln!(
-                            "regression: batched {best}x of {} on {} jobs={} (floor {floor:.2})",
-                            base_fe.label(),
-                            after.policy,
-                            after.jobs,
-                        );
-                        batched_regressed = true;
-                    }
-                }
-            }
-            speedups.push(
-                Value::object()
-                    .insert("policy", after.policy.clone())
-                    .insert("jobs", after.jobs as f64)
-                    .insert("baseline_front_end", base_fe.label())
-                    .insert("front_end", new_fe.label())
-                    .insert("baseline_acc_per_sec", before.per_sec())
-                    .insert("acc_per_sec", after.per_sec())
-                    .insert("speedup", s),
-            );
-        }
+    for after in rows.iter().filter(|r| r.front_end == FrontEnd::Arena) {
+        let Some(before) = rows.iter().find(|b| {
+            b.front_end == FrontEnd::Generator && b.policy == after.policy && b.jobs == after.jobs
+        }) else {
+            continue;
+        };
+        let s = after.per_sec() / before.per_sec().max(1e-9);
+        println!(
+            "speedup arena over generator {} jobs={}: {:.2}x ({:.0} -> {:.0} acc/s)",
+            after.policy,
+            after.jobs,
+            s,
+            before.per_sec(),
+            after.per_sec()
+        );
+        speedups.push(
+            Value::object()
+                .insert("policy", after.policy.clone())
+                .insert("jobs", after.jobs as f64)
+                .insert("baseline_front_end", before.front_end.label())
+                .insert("front_end", after.front_end.label())
+                .insert("baseline_acc_per_sec", before.per_sec())
+                .insert("acc_per_sec", after.per_sec())
+                .insert("speedup", s),
+        );
     }
-    let best_per_worker = rows
-        .iter()
-        .filter(|r| r.front_end == FrontEnd::Batched)
-        .map(|r| r.per_sec_per_worker())
-        .fold(0.0f64, f64::max);
-    const TARGET_PER_WORKER: f64 = 25_000_000.0;
-    println!(
-        "batched peak {:.1}M acc/s/worker vs the 25M target: {}",
-        best_per_worker / 1e6,
-        if best_per_worker >= TARGET_PER_WORKER {
-            "met"
-        } else {
-            "not met"
-        }
-    );
 
     // Coherence scaling: broadcast vs directory across core counts.
+    let quick = std::env::var("ASCC_QUICK").is_ok_and(|v| v != "0");
     let scaling_cores: Vec<usize> = match config.cores {
         Some(n) => vec![n],
         None => vec![4, 8, 16, 32],
@@ -487,11 +482,25 @@ fn main() {
             ),
         )
         .insert(
-            "target",
+            "scaling_gate",
             Value::object()
-                .insert("batched_acc_per_sec_per_worker", TARGET_PER_WORKER)
-                .insert("best_batched_acc_per_sec_per_worker", best_per_worker)
-                .insert("met", best_per_worker >= TARGET_PER_WORKER),
+                .insert("policy", Policy::Ascc.label())
+                .insert("fabric", FabricKind::Directory.label())
+                .insert(
+                    "scale",
+                    Value::object()
+                        .insert("instrs", GATE_SCALE.instrs as f64)
+                        .insert("seed", GATE_SCALE.seed as f64),
+                )
+                .insert(
+                    "cores",
+                    Value::Array(GATE_CORES.map(|c| (c as f64).into()).to_vec()),
+                )
+                .insert(
+                    "ns_per_access",
+                    Value::Array(gate.map(Value::from).to_vec()),
+                )
+                .insert("ratio", ratio),
         );
     let path = config
         .out
@@ -501,9 +510,9 @@ fn main() {
         .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("\n[saved {}]", path.display());
 
-    if parsed.has("--check-batched") && (batched_regressed || directory_regressed) {
-        if batched_regressed {
-            eprintln!("sim_throughput: batched front-end regressed (see speedups)");
+    if check && (scaling_regressed || directory_regressed) {
+        if scaling_regressed {
+            eprintln!("sim_throughput: 16/2-core ns/acc ratio regressed (see scaling gate)");
         }
         if directory_regressed {
             eprintln!("sim_throughput: directory fabric regressed vs broadcast (see scaling)");

@@ -1,7 +1,7 @@
 //! The coherence core-scaling sweep shared by `sim_throughput`'s scaling
 //! section and the `scaling_cores` experiment binary.
 //!
-//! One row per (core count, fabric): ASCC on the batched engine over the
+//! One row per (core count, fabric): ASCC on the event loop over the
 //! first two [`cmp_trace::mixes_for`] mixes of that width, with per-core
 //! work scaled down as the width grows so every row simulates a comparable
 //! access total. Warmup is zero so the fabric counters cover exactly the
@@ -37,6 +37,11 @@ impl ScalingRow {
         self.accesses as f64 / self.wall_s.max(1e-9)
     }
 
+    /// Host nanoseconds per simulated L1 access.
+    pub fn ns_per_access(&self) -> f64 {
+        self.wall_s * 1e9 / self.accesses.max(1) as f64
+    }
+
     /// Peer-tag probes per simulated L1 access — the headline metric:
     /// grows with the core count under broadcast, stays flat under the
     /// directory.
@@ -46,41 +51,45 @@ impl ScalingRow {
 }
 
 /// Runs the sweep: both fabrics at every width in `core_counts`.
-///
-/// Per-core instructions are `scale.instrs * 2 / cores`, floored at 50 k,
-/// so a 64-core row does not take 32× the wall-clock of a 2-core row.
 pub fn scaling_sweep(core_counts: &[usize], scale: Scale) -> Vec<ScalingRow> {
-    let mut out = Vec::new();
-    for &cores in core_counts {
-        let mixes = mixes_for(cores);
-        let instrs = (scale.instrs * 2 / cores as u64).max(50_000);
-        for fabric in [FabricKind::Broadcast, FabricKind::Directory] {
-            let cfg = SystemConfig::table2(cores).with_fabric(fabric);
-            let (mut accesses, mut snoops, mut probes) = (0u64, 0u64, 0u64);
-            let t0 = std::time::Instant::now();
-            for mix in mixes.iter().take(2) {
-                let mut sys = CmpSystem::from_sources(
-                    cfg.clone(),
-                    Policy::Ascc.build(&cfg),
-                    mix_sources(mix, scale.seed),
-                );
-                let r = sys.run_batched(instrs, 0);
-                accesses += r.cores.iter().map(|c| c.l1_accesses).sum::<u64>();
-                let s = sys.fabric().stats();
-                snoops += s.snoops;
-                probes += s.probes;
-            }
-            out.push(ScalingRow {
-                cores,
-                fabric,
-                wall_s: t0.elapsed().as_secs_f64(),
-                accesses,
-                snoops,
-                probes,
-            });
-        }
+    core_counts
+        .iter()
+        .flat_map(|&cores| {
+            [FabricKind::Broadcast, FabricKind::Directory]
+                .map(|fabric| scaling_row(cores, fabric, scale))
+        })
+        .collect()
+}
+
+/// One row of the sweep: ASCC on `fabric` over the first two mixes of
+/// width `cores`. Per-core instructions are `scale.instrs * 2 / cores`,
+/// floored at 50 k, so a 64-core row does not take 32× the wall-clock of
+/// a 2-core row.
+pub fn scaling_row(cores: usize, fabric: FabricKind, scale: Scale) -> ScalingRow {
+    let instrs = (scale.instrs * 2 / cores as u64).max(50_000);
+    let cfg = SystemConfig::table2(cores).with_fabric(fabric);
+    let (mut accesses, mut snoops, mut probes) = (0u64, 0u64, 0u64);
+    let t0 = std::time::Instant::now();
+    for mix in mixes_for(cores).iter().take(2) {
+        let mut sys = CmpSystem::from_sources(
+            cfg.clone(),
+            Policy::Ascc.build(&cfg),
+            mix_sources(mix, scale.seed),
+        );
+        let r = sys.run(instrs, 0);
+        accesses += r.cores.iter().map(|c| c.l1_accesses).sum::<u64>();
+        let s = sys.fabric().stats();
+        snoops += s.snoops;
+        probes += s.probes;
     }
-    out
+    ScalingRow {
+        cores,
+        fabric,
+        wall_s: t0.elapsed().as_secs_f64(),
+        accesses,
+        snoops,
+        probes,
+    }
 }
 
 /// Formats the sweep as a [`crate::print_table`] header + rows pair.
@@ -131,6 +140,7 @@ mod tests {
         };
         assert!((r.per_sec() - 500_000.0).abs() < 1e-6);
         assert!((r.probes_per_access() - 0.25).abs() < 1e-12);
+        assert!((r.ns_per_access() - 2000.0).abs() < 1e-9);
         let (headers, table) = scaling_table(&[r]);
         assert_eq!(headers.len(), table[0].len());
         assert_eq!(table[0][1], "directory");

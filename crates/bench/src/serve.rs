@@ -53,7 +53,7 @@ use ascc_serve::prometheus::{MetricKind, MetricsText};
 use cmp_cache::{CacheGeometry, ObsEvent, ObsProbe, PolicySnapshot, MAX_WAYS};
 use cmp_coherence::FabricKind;
 use cmp_json::Value;
-use cmp_sim::{batch_enabled, mix_sources, tenant_sources, CmpSystem, EpochRecorder, SystemConfig};
+use cmp_sim::{mix_sources, tenant_sources, CmpSystem, EpochRecorder, SystemConfig};
 use cmp_trace::{mixes_for, TenantScenario, WorkloadMix};
 use std::io;
 use std::path::PathBuf;
@@ -530,19 +530,14 @@ impl DaemonState {
                 LiveProbe(Arc::clone(&recorder)),
                 epoch,
             );
-            // Refresh the live access counter from each hook (the batched
-            // engine fires it with flushed state every METRICS_EVERY global
-            // accesses; the streaming fallback after every access).
-            let live = |sys: &mut CmpSystem<LiveProbe>| {
+            // Refresh the live access counter from each hook (the event
+            // loop fires it with flushed state every METRICS_EVERY global
+            // accesses).
+            const METRICS_EVERY: u64 = 4096;
+            let outcome = sys.try_run_batched(instrs, warmup, METRICS_EVERY, |sys| {
                 accesses.store(sys.total_accesses(), Ordering::Relaxed);
                 !cancel.load(Ordering::Relaxed)
-            };
-            const METRICS_EVERY: u64 = 4096;
-            let outcome = if batch_enabled() {
-                sys.try_run_batched(instrs, warmup, METRICS_EVERY, live)
-            } else {
-                sys.try_run_with_hook(instrs, warmup, live)
-            };
+            });
             accesses.store(sys.total_accesses(), Ordering::Relaxed);
             drop(sys);
             recorder.lock().expect("recorder lock").finish();

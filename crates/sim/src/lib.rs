@@ -61,4 +61,4 @@ pub use runner::{
 };
 pub use shared::{SharedConfig, SharedLlcSystem};
 pub use sweep::{CancelToken, SweepPool};
-pub use system::{batch_enabled, CmpSystem};
+pub use system::CmpSystem;

@@ -186,7 +186,7 @@ pub fn run_sources_with(
         "config/source core count mismatch"
     );
     let mut sys = CmpSystem::from_sources(cfg.clone(), policy, sources);
-    let Some(ck) = ckpt.filter(|c| c.cadence.is_enabled()) else {
+    let Some(ck) = ckpt.filter(|c| c.every > 0) else {
         return sys.run(instr_target, warmup);
     };
     let path = ck.path_for(&sys, cfg, desc, instr_target, warmup);
@@ -212,29 +212,15 @@ pub fn run_sources_with(
             }
         }
     }
-    let checkpoint = |sys: &mut CmpSystem| {
-        let snap = sys.snapshot();
-        if let Err(e) = cmp_snap::atomic_write(&path, &snap) {
-            eprintln!("[ckpt] warning: cannot write {}: {e}", path.display());
-        }
-    };
-    let result = if crate::batch_enabled() {
-        // The batched engine fires its hook every N global accesses with
-        // flushed state — the same placement the streaming cadence below
-        // produces, just without a per-access callback.
-        sys.try_run_batched(instr_target, warmup, ck.cadence.every(), |sys| {
-            checkpoint(sys);
+    let result = sys
+        .try_run_batched(instr_target, warmup, ck.every, |sys| {
+            let snap = sys.snapshot();
+            if let Err(e) = cmp_snap::atomic_write(&path, &snap) {
+                eprintln!("[ckpt] warning: cannot write {}: {e}", path.display());
+            }
             true
         })
-        .expect("an always-continue hook cannot abort the run")
-    } else {
-        let mut cadence = ck.cadence;
-        sys.run_with_hook(instr_target, warmup, |sys| {
-            if cadence.tick() {
-                checkpoint(sys);
-            }
-        })
-    };
+        .expect("an always-continue hook cannot abort the run");
     // The run completed; its in-flight checkpoint is obsolete.
     let _ = std::fs::remove_file(&path);
     result
@@ -257,8 +243,9 @@ pub fn run_sources_with(
 /// and a configuration change can never resume a stale snapshot.
 #[derive(Debug, Clone)]
 pub struct Checkpointing {
-    /// Snapshot cadence in accesses (period 0 disables checkpointing).
-    pub cadence: cmp_snap::Cadence,
+    /// Snapshot every this many global accesses (0 disables
+    /// checkpointing).
+    pub every: u64,
     /// Directory receiving `ckpt-<fingerprint>.snap` files.
     pub dir: std::path::PathBuf,
     /// Restore a matching in-flight checkpoint before running.
@@ -270,7 +257,7 @@ impl Checkpointing {
     /// when `resume` is set.
     pub fn new(every: u64, dir: impl Into<std::path::PathBuf>, resume: bool) -> Self {
         Checkpointing {
-            cadence: cmp_snap::Cadence::new(every),
+            every,
             dir: dir.into(),
             resume,
         }

@@ -9,6 +9,7 @@
 
 use crate::config::SystemConfig;
 use crate::metrics::{CoreResult, RunResult};
+use crate::sched::WinnerTree;
 use cmp_cache::{
     AccessKind, CacheGeometry, CacheLine, FillKind, InsertPos, LineAddr, MesiState, SetAssocCache,
 };
@@ -125,16 +126,19 @@ impl SharedLlcSystem {
         }
     }
 
-    /// Runs warmup + measured instructions per core (same protocol as
-    /// [`crate::CmpSystem::run`]). Dispatches on the `ASCC_BATCH` knob
-    /// between the horizon-batched interleave (default) and the per-access
-    /// streaming one; the two produce identical access orders.
+    /// Runs warmup + measured instructions per core (same protocol and
+    /// first-minimum interleave as [`crate::CmpSystem::run`]).
     pub fn run(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
         assert!(instr_target > 0, "need a nonzero instruction target");
-        if crate::batch_enabled() {
-            self.interleave_batched(instr_target, warmup_instrs);
-        } else {
-            self.interleave_streaming(instr_target, warmup_instrs);
+        let mut tree = WinnerTree::default();
+        tree.rebuild(self.cores.iter().map(|c| c.clock));
+        let mut i = tree.winner();
+        loop {
+            self.step(i);
+            if self.bookkeeping(i, instr_target, warmup_instrs) {
+                break;
+            }
+            i = tree.update(i, self.cores[i].clock);
         }
         RunResult {
             policy: "shared-LLC".to_string(),
@@ -162,59 +166,6 @@ impl SharedLlcSystem {
             spills: 0,
             swaps: 0,
             spill_hits: 0,
-        }
-    }
-
-    /// One access per scheduler pick: always advance the globally-oldest
-    /// core (first-minimum clock).
-    fn interleave_streaming(&mut self, instr_target: u64, warmup_instrs: u64) {
-        loop {
-            let i = self
-                .cores
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.clock.total_cmp(&b.1.clock))
-                .map(|(i, _)| i)
-                .expect("at least one core");
-            self.step(i);
-            if self.bookkeeping(i, instr_target, warmup_instrs) {
-                break;
-            }
-        }
-    }
-
-    /// Horizon-batched interleave: the scheduled core drains as long as
-    /// the streaming scheduler would keep picking it (its clock stays
-    /// below the other cores' minimum, or ties it with the smaller index),
-    /// so the argmin scan runs once per drain instead of once per access.
-    /// Access-for-access identical order to
-    /// [`interleave_streaming`](SharedLlcSystem::interleave_streaming).
-    fn interleave_batched(&mut self, instr_target: u64, warmup_instrs: u64) {
-        'sched: loop {
-            let mut i = 0usize;
-            for j in 1..self.cores.len() {
-                if self.cores[j].clock.total_cmp(&self.cores[i].clock) == std::cmp::Ordering::Less {
-                    i = j;
-                }
-            }
-            let mut horizon = f64::INFINITY;
-            let mut jfirst = usize::MAX;
-            for (j, c) in self.cores.iter().enumerate() {
-                if j != i && c.clock.total_cmp(&horizon) == std::cmp::Ordering::Less {
-                    horizon = c.clock;
-                    jfirst = j;
-                }
-            }
-            let wins_tie = i < jfirst;
-            loop {
-                if !crate::system::holds_schedule(self.cores[i].clock, horizon, wins_tie) {
-                    continue 'sched;
-                }
-                self.step(i);
-                if self.bookkeeping(i, instr_target, warmup_instrs) {
-                    break 'sched;
-                }
-            }
         }
     }
 

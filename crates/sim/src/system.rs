@@ -9,10 +9,18 @@
 //! `n` instructions costs `n * base_cpi` cycles, and a load that misses in
 //! L1 additionally stalls the core for the hierarchy latency scaled by the
 //! benchmark's `overlap` factor (its memory-level parallelism). Stores are
-//! buffered (write-through L1, write-back L2) and never stall. The
-//! simulation interleaves cores at access granularity by always advancing
-//! the core with the smallest clock, so caches observe a realistic global
-//! interleaving of the competing access streams.
+//! buffered (write-through L1, write-back L2) and never stall.
+//!
+//! ## Interleaving
+//!
+//! The simulation interleaves cores at access granularity by always
+//! advancing the core with the smallest clock (ties to the lowest index),
+//! so caches observe a realistic global interleaving of the competing
+//! access streams. One event loop,
+//! [`try_run_batched`](CmpSystem::try_run_batched), runs that interleave
+//! for every entry point: [`run`](CmpSystem::run) and
+//! [`run_with_hook`](CmpSystem::run_with_hook) wrap it, and
+//! [`step`](CmpSystem::step) runs its per-access path for one core.
 //!
 //! ## Memory-system behaviour per L2 access
 //!
@@ -38,40 +46,17 @@ use cmp_cache::{
 use cmp_coherence::{CoherenceFabric, Fabric, ReadPolicy};
 use cmp_trace::{CoreSource, CoreWorkload};
 
-/// `false` when `ASCC_BATCH=0` selects the per-access streaming interleave;
-/// anything else (including unset) selects the batched event-loop
-/// front-end. Read per call — deliberately *not* latched in a `OnceLock`,
-/// so one process can time both front-ends (`sim_throughput` does).
-pub fn batch_enabled() -> bool {
-    std::env::var("ASCC_BATCH").map_or(true, |v| v != "0")
-}
-
-/// Accesses the batched engine looks ahead in the chunk when prefetching:
-/// drains prefetch the simulated L1 tag row of the access this far ahead,
-/// step mode the chunk's address line this far ahead.
+/// Accesses ahead of the current one the event loop prefetches: while a
+/// core keeps the schedule, the simulated L1 tag row of its access this
+/// far ahead; when the schedule moves on, its chunk's address line this
+/// far ahead.
 const PF_DIST: usize = 8;
 
-/// Accesses per adaptive-mode probe window: in drain mode the loop
-/// accumulates this many accesses, then compares the mean drain length
-/// against [`STEP_THRESHOLD`].
-const PROBE_WINDOW: u64 = 2048;
-
-/// Mean accesses per drain below which the per-drain machinery (horizon
-/// scan, state copy in/out, chunk slice setup) no longer amortizes and
-/// the loop switches to step mode.
-const STEP_THRESHOLD: u64 = 4;
-
-/// Accesses executed in step mode before the loop returns to drain mode
-/// to re-probe. Re-probing costs one [`PROBE_WINDOW`] of (at worst)
-/// drain-mode overhead per `STEP_RUN`, about 3% of the time at a ~30%
-/// overhead — cheap insurance against the workload coarsening again.
-const STEP_RUN: u64 = 1 << 16;
-
-/// Batch-local mirror of the [`CoreState`] fields the per-access header
-/// math touches: they live in registers for the length of a drain (and in
-/// the dense [`DrainCore`] array between drains) and are flushed back to
-/// the authoritative [`CoreState`] only where the outside world can look —
-/// before hooks (which may snapshot) and at the end of the run.
+/// Loop-local mirror of the [`CoreState`] fields the per-access header
+/// math touches: it lives in the dense [`LoopCore`] array while a run is
+/// in flight and is flushed back to the authoritative [`CoreState`] only
+/// where the outside world can look — at warm-up/end captures, before
+/// hooks (which may snapshot) and at the end of the run.
 #[derive(Clone, Copy)]
 struct HotCore {
     clock: f64,
@@ -95,18 +80,15 @@ impl HotCore {
     }
 }
 
-/// Per-core scheduler state of the batched event loop, persistent across
-/// drains. Drains shrink as the core count grows — the horizon is a min
-/// over the peers, so at 16+ cores a drain is often one access — and any
-/// work done per *drain* rather than per chunk shows up directly in
-/// throughput. Everything lives in one dense struct (two cache lines per
-/// core) instead of being re-derived from the scattered [`CoreState`]:
-/// the [`HotCore`] mirror stays loaded (cores are flushed only at hooks
-/// and at the end of the run), the CPU constants and warm-up/end
-/// trackers are plain fields, and the current chunk run is cached so
+/// Per-core state of the event loop. The loop picks a new core for
+/// nearly every access at 16+ cores (and often at 2), so everything an
+/// access needs lives in one dense struct (two cache lines per core)
+/// instead of being re-derived from the scattered [`CoreState`]: the
+/// [`HotCore`] mirror, the CPU constants, the warm-up/end trackers, and
+/// the current chunk run, cached so
 /// [`run_slice`](cmp_trace::AccessFeed::run_slice)'s `Arc` clone and the
-/// feed-cursor commit happen once per chunk, not once per drain.
-struct DrainCore {
+/// feed-cursor commit happen once per chunk, not once per access.
+struct LoopCore {
     hot: HotCore,
     cpu: cmp_trace::CpuModel,
     inv_mf: f64,
@@ -126,9 +108,9 @@ struct DrainCore {
     committed: usize,
 }
 
-impl DrainCore {
+impl LoopCore {
     fn load(c: &CoreState) -> Self {
-        DrainCore {
+        LoopCore {
             hot: HotCore::load(c),
             cpu: c.source.cpu,
             inv_mf: 1.0 / c.source.cpu.mem_fraction,
@@ -146,7 +128,7 @@ impl DrainCore {
 /// consumed prefix of the old run, then caches the next one. Leaves
 /// `chunk` as `None` for streaming generators and budget-degraded
 /// cursors, which only serve per-access pulls.
-fn refresh_chunk(d: &mut DrainCore, feed: &mut cmp_trace::AccessFeed) {
+fn refresh_chunk(d: &mut LoopCore, feed: &mut cmp_trace::AccessFeed) {
     if d.chunk.is_some() {
         feed.advance(d.pos - d.committed);
     }
@@ -166,27 +148,12 @@ fn refresh_chunk(d: &mut DrainCore, feed: &mut cmp_trace::AccessFeed) {
     }
 }
 
-/// Why a batched drain stopped.
+/// Why the event loop stopped.
 enum Pause {
-    /// The cycle horizon was crossed: another core is now globally oldest.
-    Resched,
     /// `hook_every` accesses elapsed; the hook must run.
     Hook,
     /// Every core captured its end snapshot; the run is complete.
     Done,
-}
-
-/// Whether the drained core still holds the schedule: its clock is below
-/// the other cores' minimum, or ties it while having the smaller index —
-/// exactly the condition under which the streaming loop's first-minimum
-/// `min_by` would pick it again.
-#[inline(always)]
-pub(crate) fn holds_schedule(clock: f64, horizon: f64, wins_tie: bool) -> bool {
-    match clock.total_cmp(&horizon) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Equal => wins_tie,
-        std::cmp::Ordering::Greater => false,
-    }
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -436,71 +403,36 @@ impl<P: ObsProbe> CmpSystem<P> {
     /// measured), then `instr_target` measured instructions. Cores that
     /// finish keep executing — competing for cache space — until the last
     /// one is done, as in the paper's methodology (§5).
-    ///
-    /// Dispatches on the `ASCC_BATCH` knob between the batched event loop
-    /// (default) and the per-access streaming interleave; the two are
-    /// bit-identical (DESIGN.md §5h), so the choice is purely about
-    /// throughput.
     pub fn run(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
-        if batch_enabled() {
-            self.run_batched(instr_target, warmup_instrs)
-        } else {
-            self.run_streaming(instr_target, warmup_instrs)
-        }
-    }
-
-    /// [`run`](CmpSystem::run) forced onto the per-access streaming
-    /// interleave, regardless of `ASCC_BATCH`. The equivalence tests use
-    /// this explicit pair rather than racing env-var mutations across test
-    /// threads.
-    pub fn run_streaming(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
-        self.run_with_hook(instr_target, warmup_instrs, |_| {})
-    }
-
-    /// [`run`](CmpSystem::run) forced onto the batched event loop,
-    /// regardless of `ASCC_BATCH`.
-    pub fn run_batched(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
         self.try_run_batched(instr_target, warmup_instrs, 0, |_| true)
             .expect("an always-continue hook cannot abort the run")
     }
 
-    /// The batched event loop: drains whole [`TraceChunk`](cmp_trace::TraceChunk)
-    /// runs per core instead of re-scheduling after every access, while
-    /// producing the exact access interleaving of the streaming loop.
+    /// [`run`](CmpSystem::run) under the name the simulator benchmark
+    /// calls.
+    pub fn run_batched(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
+        self.run(instr_target, warmup_instrs)
+    }
+
+    /// The event loop behind every run: the globally-oldest core (first
+    /// minimum clock, ties to the lowest index) executes one access, then
+    /// the schedule is re-picked.
     ///
-    /// The scheduled core is the one the streaming `min_by` would pick
-    /// (first-minimum clock). It keeps draining while
-    /// [`holds_schedule`] says the streaming scheduler would keep picking
-    /// it — its clock stays below the *cycle horizon* (the minimum clock of
-    /// the other cores, which cannot move during the drain: spill
-    /// retirement only touches peers' writeback counters). Inside a drain
-    /// the per-access header math runs on a register-local [`HotCore`]
-    /// (one reciprocal hoists the `mem_fraction` divide), accesses come
-    /// straight out of the chunk's SoA arrays, and upcoming tag rows are
-    /// prefetched [`PF_DIST`] accesses ahead.
-    ///
-    /// Drains shrink as cores are added — the horizon is a min over the
-    /// peers — and at 16+ cores they degenerate to single accesses, where
-    /// the per-drain machinery is pure overhead. The loop is therefore
-    /// *adaptive*: every [`PROBE_WINDOW`] accesses it measures the mean
-    /// drain length, and below [`STEP_THRESHOLD`] it switches to *step
-    /// mode* for the next [`STEP_RUN`] accesses — single-access
-    /// first-minimum picks from an O(log cores) winner tree, with no
-    /// horizon computation, no drain entry/exit, and the accesses still
-    /// served from the cached chunk run. Step mode rotates through every
-    /// core before it returns to one, so after each chunk-fed access it
-    /// prefetches what that core will touch next: its next access's L1
-    /// tag row and the chunk's address line [`PF_DIST`] accesses ahead.
-    /// Both modes execute identical arithmetic in the identical
-    /// first-minimum order, so the interleaving (and every counter) stays
-    /// bit-identical to the streaming loop regardless of where the mode
-    /// switches land; the switch points themselves are access-count
-    /// driven and thus deterministic.
+    /// Picks come from an O(log cores) [`WinnerTree`] over the clocks;
+    /// after an access only the picked core's clock has moved, so one
+    /// leaf-to-root replay yields the next pick. Each core's state lives
+    /// in a dense [`LoopCore`] (its [`HotCore`] register mirror, CPU
+    /// constants with the `mem_fraction` divide pre-inverted, and its
+    /// cached chunk run), and accesses come straight out of the chunk's
+    /// SoA arrays; generator-fed cores pull one access at a time. Host
+    /// prefetching follows the pick: while a core keeps the schedule,
+    /// its L1 tag row [`PF_DIST`] accesses ahead; when the schedule moves
+    /// on, what the core will touch when it next runs — its next
+    /// access's L1 tag row and the chunk's address line `PF_DIST` ahead.
     ///
     /// `hook` runs with flushed, snapshot-able state after every
-    /// `hook_every` global accesses (`0` = never) — the batched analogue
-    /// of [`try_run_with_hook`](CmpSystem::try_run_with_hook)'s per-access
-    /// cadence, used for `ASCC_CKPT_EVERY` checkpoints and cancellation.
+    /// `hook_every` global accesses (`0` = never) except the run's last,
+    /// used for `ASCC_CKPT_EVERY` checkpoints, cancellation and tests.
     /// Returning `false` abandons the run (`None`), leaving the system in
     /// the consistent state the hook observed.
     pub fn try_run_batched(
@@ -511,243 +443,101 @@ impl<P: ObsProbe> CmpSystem<P> {
         mut hook: impl FnMut(&mut Self) -> bool,
     ) -> Option<RunResult> {
         assert!(instr_target > 0, "need a nonzero instruction target");
+        if self.cores.iter().all(|c| c.end_snap.is_some()) {
+            return Some(self.result());
+        }
         let hook_period = if hook_every == 0 {
             u64::MAX
         } else {
             hook_every
         };
         let mut until_hook = hook_period;
-        // The per-drain machinery is the whole ballgame at high core
-        // counts (see [`DrainCore`]): per-core scheduler state persists
-        // across drains in dense structs, the scheduler is one fused pass
-        // over a compact clock mirror (see
-        // [`sched::argmin_and_horizon`](crate::sched) for the
-        // first-minimum tie-break contract), cores are flushed only at
-        // hooks and at the end of the run, and when a probe window shows
-        // drains have degenerated to single accesses the loop drops into
-        // step mode (see the doc comment above). Hooks take `&mut Self`
-        // and may move anything, so every mirror is rebuilt after one
-        // fires.
         let offset_bits = self.cfg.l1.offset_bits();
-        let mut drain: Vec<DrainCore> = self.cores.iter().map(DrainCore::load).collect();
-        let mut clocks: Vec<f64> = drain.iter().map(|d| d.hot.clock).collect();
-        // Adaptive-mode state: accesses and drains seen in the current
-        // probe window, and accesses left in the current step-mode run.
-        let mut probe_acc: u64 = 0;
-        let mut probe_drains: u64 = 0;
-        let mut step_left: u64 = 0;
+        let mut cores = Vec::new();
         let mut tree = WinnerTree::default();
-        'sched: loop {
-            // Step mode: drains have degenerated to ~single accesses, so
-            // skip the horizon and the drain entry/exit entirely — pick
-            // the first-minimum core from a winner tree over the clock
-            // mirror (rebuilt here, since drains moved the mirror behind
-            // its back) and execute exactly one access from its cached
-            // run, operating on the dense DrainCore in place.
-            if step_left > 0 {
-                tree.rebuild(&clocks);
-                let mut next = tree.winner();
-                while step_left > 0 {
-                    let i = next;
-                    if drain[i].pos >= drain[i].len {
-                        refresh_chunk(&mut drain[i], &mut self.cores[i].source.feed);
-                    }
-                    let d = &mut drain[i];
-                    let (addr, kind, stream) = if let Some(chunk) = &d.chunk {
-                        let idx = d.pos;
-                        d.pos = idx + 1;
-                        let kind = if chunk.store_words()[idx >> 6] >> (idx & 63) & 1 == 1 {
-                            AccessKind::Store
-                        } else {
-                            AccessKind::Load
-                        };
-                        (Addr::new(chunk.addrs()[idx]), kind, chunk.streams()[idx])
-                    } else {
-                        let acc = self.cores[i].source.feed.next_access();
-                        (acc.addr, acc.kind, acc.stream)
-                    };
-                    self.batched_access(i, &mut d.hot, d.inv_mf, &d.cpu, addr, kind, stream);
-                    // Schedule-ahead prefetch: the loop now rotates
-                    // through the other cores before it comes back here,
-                    // so warm what this core will need then — its next
-                    // access's L1 tag row, and the chunk's address line
-                    // PF_DIST accesses ahead.
-                    if let Some(chunk) = &d.chunk {
-                        if d.pos < d.len {
-                            let addrs = chunk.addrs();
-                            let next = Addr::new(addrs[d.pos]).line(offset_bits);
-                            self.l1s[i].prefetch_set(self.cfg.l1.set_of(next));
-                            host_prefetch(&addrs[(d.pos + PF_DIST).min(d.len - 1)]);
-                        }
-                    }
-                    clocks[i] = d.hot.clock;
-                    next = tree.update(i, d.hot.clock);
-                    step_left -= 1;
-                    let pause = self.batched_bookkeeping(
-                        i,
-                        &d.hot,
-                        instr_target,
-                        warmup_instrs,
-                        &mut d.warm_base,
-                        &mut d.ended,
-                        &mut until_hook,
-                    );
-                    match pause {
-                        None => {}
-                        Some(Pause::Resched) => unreachable!("step mode holds no horizon to lose"),
-                        Some(Pause::Done) => {
-                            self.commit_feeds(&mut drain);
-                            break 'sched;
-                        }
-                        Some(Pause::Hook) => {
-                            self.commit_feeds(&mut drain);
-                            until_hook = hook_period;
-                            if !hook(self) {
-                                return None;
-                            }
-                            for (j, c) in self.cores.iter().enumerate() {
-                                drain[j] = DrainCore::load(c);
-                                clocks[j] = c.clock;
-                            }
-                            // The hook may have moved anything — re-probe.
-                            step_left = 0;
-                            probe_acc = 0;
-                            probe_drains = 0;
-                        }
-                    }
-                }
+        let mut i = self.load_loop(&mut cores, &mut tree);
+        loop {
+            let d = &mut cores[i];
+            if d.pos >= d.len {
+                refresh_chunk(d, &mut self.cores[i].source.feed);
             }
-            let (i, horizon, jfirst) = crate::sched::argmin_and_horizon(&clocks);
-            let wins_tie = i < jfirst;
-            let cpu = drain[i].cpu;
-            let inv_mf = drain[i].inv_mf;
-            let mut h = drain[i].hot;
-            let mut warm_base = drain[i].warm_base;
-            let mut ended = drain[i].ended;
-            let acc_base = h.l1_accesses;
-            let pause = 'drain: loop {
-                if drain[i].pos >= drain[i].len {
-                    refresh_chunk(&mut drain[i], &mut self.cores[i].source.feed);
-                }
-                let Some(chunk) = &drain[i].chunk else {
-                    // Streaming generator (or budget-degraded cursor):
-                    // per-access pulls, still horizon-batched.
-                    loop {
-                        if !holds_schedule(h.clock, horizon, wins_tie) {
-                            break 'drain Pause::Resched;
-                        }
-                        let acc = self.cores[i].source.feed.next_access();
-                        self.batched_access(
-                            i, &mut h, inv_mf, &cpu, acc.addr, acc.kind, acc.stream,
-                        );
-                        if let Some(p) = self.batched_bookkeeping(
-                            i,
-                            &h,
-                            instr_target,
-                            warmup_instrs,
-                            &mut warm_base,
-                            &mut ended,
-                            &mut until_hook,
-                        ) {
-                            break 'drain p;
-                        }
-                    }
+            let (addr, kind, stream) = if let Some(chunk) = &d.chunk {
+                let idx = d.pos;
+                d.pos = idx + 1;
+                let kind = if chunk.store_words()[idx >> 6] >> (idx & 63) & 1 == 1 {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
                 };
-                let len = drain[i].len;
+                (Addr::new(chunk.addrs()[idx]), kind, chunk.streams()[idx])
+            } else {
+                let acc = self.cores[i].source.feed.next_access();
+                (acc.addr, acc.kind, acc.stream)
+            };
+            self.core_access(i, &mut d.hot, d.inv_mf, &d.cpu, addr, kind, stream);
+            let next = tree.update(i, d.hot.clock);
+            if let Some(chunk) = &d.chunk {
                 let addrs = chunk.addrs();
-                let streams = chunk.streams();
-                let stores = chunk.store_words();
-                let mut idx = drain[i].pos;
-                let mut pause = None;
-                while idx < len {
-                    if !holds_schedule(h.clock, horizon, wins_tie) {
-                        pause = Some(Pause::Resched);
-                        break;
-                    }
-                    if idx + PF_DIST < len {
-                        let ahead = Addr::new(addrs[idx + PF_DIST]).line(offset_bits);
+                if next == i {
+                    if d.pos + PF_DIST < d.len {
+                        let ahead = Addr::new(addrs[d.pos + PF_DIST]).line(offset_bits);
                         self.l1s[i].prefetch_set(self.cfg.l1.set_of(ahead));
                     }
-                    let addr = Addr::new(addrs[idx]);
-                    let stream = streams[idx];
-                    let kind = if stores[idx >> 6] >> (idx & 63) & 1 == 1 {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    };
-                    idx += 1;
-                    self.batched_access(i, &mut h, inv_mf, &cpu, addr, kind, stream);
-                    if let Some(p) = self.batched_bookkeeping(
-                        i,
-                        &h,
-                        instr_target,
-                        warmup_instrs,
-                        &mut warm_base,
-                        &mut ended,
-                        &mut until_hook,
-                    ) {
-                        pause = Some(p);
-                        break;
-                    }
+                } else if d.pos < d.len {
+                    // The schedule moves on and (at many cores) comes back
+                    // here only after the others ran: warm what this core
+                    // needs then.
+                    let line = Addr::new(addrs[d.pos]).line(offset_bits);
+                    self.l1s[i].prefetch_set(self.cfg.l1.set_of(line));
+                    host_prefetch(&addrs[(d.pos + PF_DIST).min(d.len - 1)]);
                 }
-                drain[i].pos = idx;
-                match pause {
-                    Some(p) => break 'drain p,
-                    None => continue 'drain, // chunk exhausted mid-drain
-                }
-            };
-            let d = &mut drain[i];
-            d.hot = h;
-            d.warm_base = warm_base;
-            d.ended = ended;
-            clocks[i] = h.clock;
-            // Probe accounting: a window's mean drain length decides
-            // whether the next STEP_RUN accesses run in step mode.
-            probe_acc += h.l1_accesses - acc_base;
-            probe_drains += 1;
-            if probe_acc >= PROBE_WINDOW {
-                if probe_acc < probe_drains * STEP_THRESHOLD {
-                    step_left = STEP_RUN;
-                }
-                probe_acc = 0;
-                probe_drains = 0;
             }
+            let pause = self.bookkeeping(
+                i,
+                &d.hot,
+                instr_target,
+                warmup_instrs,
+                &mut d.warm_base,
+                &mut d.ended,
+                &mut until_hook,
+            );
             match pause {
-                Pause::Resched => {}
-                Pause::Done => {
-                    self.commit_feeds(&mut drain);
-                    break 'sched;
+                None => i = next,
+                Some(Pause::Done) => {
+                    self.commit_feeds(&mut cores);
+                    return Some(self.result());
                 }
-                Pause::Hook => {
-                    self.commit_feeds(&mut drain);
+                Some(Pause::Hook) => {
+                    self.commit_feeds(&mut cores);
                     until_hook = hook_period;
                     if !hook(self) {
                         return None;
                     }
                     // The hook holds `&mut Self` and may have moved
-                    // anything (e.g. restoring a snapshot): reload the
-                    // mirrors and drop every cache rather than trust the
-                    // incremental state.
-                    for (j, c) in self.cores.iter().enumerate() {
-                        drain[j] = DrainCore::load(c);
-                        clocks[j] = c.clock;
-                    }
-                    step_left = 0;
-                    probe_acc = 0;
-                    probe_drains = 0;
+                    // anything (e.g. restored a snapshot): rebuild every
+                    // mirror rather than trust the incremental state.
+                    i = self.load_loop(&mut cores, &mut tree);
                 }
             }
         }
-        Some(self.result())
     }
 
-    /// Makes the batched loop's deferred state externally visible: every
+    /// (Re)builds the event loop's per-core mirrors and scheduler from the
+    /// authoritative state; returns the first core to run.
+    fn load_loop(&self, cores: &mut Vec<LoopCore>, tree: &mut WinnerTree) -> usize {
+        cores.clear();
+        cores.extend(self.cores.iter().map(LoopCore::load));
+        tree.rebuild(cores.iter().map(|d| d.hot.clock));
+        tree.winner()
+    }
+
+    /// Makes the event loop's deferred state externally visible: every
     /// core's [`HotCore`] mirror is flushed and every feed cursor synced
     /// to its cached chunk position. Run before anything that observes
     /// the system as a whole — hooks (which may snapshot) and the end of
     /// the run.
-    fn commit_feeds(&mut self, drain: &mut [DrainCore]) {
-        for (j, d) in drain.iter_mut().enumerate() {
+    fn commit_feeds(&mut self, cores: &mut [LoopCore]) {
+        for (j, d) in cores.iter_mut().enumerate() {
             if d.chunk.is_some() && d.pos > d.committed {
                 self.cores[j].source.feed.advance(d.pos - d.committed);
                 d.committed = d.pos;
@@ -756,8 +546,8 @@ impl<P: ObsProbe> CmpSystem<P> {
         }
     }
 
-    /// Writes a drain's register-local [`HotCore`] back into the core's
-    /// authoritative state.
+    /// Writes a [`HotCore`] mirror back into the core's authoritative
+    /// state.
     fn flush_hot(&mut self, i: usize, h: &HotCore) {
         let c = &mut self.cores[i];
         c.clock = h.clock;
@@ -768,13 +558,13 @@ impl<P: ObsProbe> CmpSystem<P> {
         c.counters.l1_hits = h.l1_hits;
     }
 
-    /// One access of the batched loop: identical arithmetic to
-    /// [`step`](CmpSystem::step), but the header math (carry/CPI/clock and
-    /// the L1 counters) runs on the drain's [`HotCore`] and the
-    /// `mem_fraction` divide is a pre-inverted multiply.
+    /// One access of core `i`: commits the instructions up to it (carry,
+    /// CPI and clock on the [`HotCore`] mirror, with the `mem_fraction`
+    /// divide a pre-inverted multiply), probes the L1, goes to the L2 on
+    /// a miss, and stalls loads by the overlapped latency.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // private hot path; the args are the drain's registers
-    fn batched_access(
+    #[allow(clippy::too_many_arguments)] // private hot path; the args are the loop's registers
+    fn core_access(
         &mut self,
         i: usize,
         h: &mut HotCore,
@@ -797,12 +587,17 @@ impl<P: ObsProbe> CmpSystem<P> {
         let latency = if l1_hit {
             h.l1_hits += 1;
             if kind.is_store() {
+                // Write-through below L1 with a coalescing write buffer:
+                // the L2 copy's state is updated (dirtiness, coherence
+                // upgrade) but the buffered write does not occupy the L2 —
+                // no recency promotion, no statistics, no policy event.
                 self.upgrade_for_store(i, line);
             }
             0
         } else {
             let (lat, fill_l1) = self.l2_access(i, line, kind, stream);
             if fill_l1 {
+                // Fill L1 (evictions are silent: write-through keeps L1 clean).
                 let set = self.cfg.l1.set_of(line);
                 let way = self.l1s[i].set(set).default_victim();
                 self.l1s[i].fill(
@@ -839,13 +634,12 @@ impl<P: ObsProbe> CmpSystem<P> {
         }
     }
 
-    /// Post-access warm-up/end/hook bookkeeping for the batched loop;
-    /// returns the pause the drain must take, if any. Mirrors the
-    /// streaming loop's per-access checks; snapshots are captured from
-    /// freshly flushed counters.
+    /// Post-access warm-up/end/hook bookkeeping; returns the pause the
+    /// loop must take, if any. Snapshots are captured from freshly
+    /// flushed counters.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn batched_bookkeeping(
+    fn bookkeeping(
         &mut self,
         i: usize,
         h: &HotCore,
@@ -871,9 +665,7 @@ impl<P: ObsProbe> CmpSystem<P> {
                 c.end_snap = Some(c.counters);
                 *ended = true;
                 // End snapshots never unset, so the all-done transition can
-                // only happen on the access that captures the last one —
-                // checking here is equivalent to the streaming loop's
-                // every-access scan.
+                // only happen on the access that captures the last one.
                 if self.cores.iter().all(|c| c.end_snap.is_some()) {
                     return Some(Pause::Done);
                 }
@@ -886,74 +678,22 @@ impl<P: ObsProbe> CmpSystem<P> {
         None
     }
 
-    /// [`run`](CmpSystem::run) with a periodic-checkpoint hook: `after_step`
-    /// is called after every access (and its warm-up/end bookkeeping) except
-    /// the final one, with the system in a consistent snapshot-able state.
-    ///
-    /// The checkpointed `run_mix` path uses this to call
-    /// [`snapshot`](CmpSystem::snapshot) every `ASCC_CKPT_EVERY` accesses;
-    /// tests use it to capture mid-run state at arbitrary access indices.
+    /// [`run`](CmpSystem::run) with a hook after every access (and its
+    /// warm-up/end bookkeeping) except the final one, with the system in
+    /// a consistent snapshot-able state: `try_run_batched` with
+    /// `hook_every = 1`. Tests use it to capture mid-run state at
+    /// arbitrary access indices.
     pub fn run_with_hook(
         &mut self,
         instr_target: u64,
         warmup_instrs: u64,
         mut after_step: impl FnMut(&mut Self),
     ) -> RunResult {
-        self.try_run_with_hook(instr_target, warmup_instrs, |sys| {
+        self.try_run_batched(instr_target, warmup_instrs, 1, |sys| {
             after_step(sys);
             true
         })
         .expect("an always-continue hook cannot abort the run")
-    }
-
-    /// [`run_with_hook`](CmpSystem::run_with_hook) with cooperative
-    /// cancellation: the hook returns `true` to continue or `false` to
-    /// abandon the run, in which case the call returns `None` and no
-    /// measurement is produced. The system is left in the consistent
-    /// snapshot-able state the hook observed, so an aborted run can still
-    /// be checkpointed or inspected.
-    ///
-    /// An uncancelled run is step-for-step identical to
-    /// [`run`](CmpSystem::run).
-    pub fn try_run_with_hook(
-        &mut self,
-        instr_target: u64,
-        warmup_instrs: u64,
-        mut after_step: impl FnMut(&mut Self) -> bool,
-    ) -> Option<RunResult> {
-        assert!(instr_target > 0, "need a nonzero instruction target");
-        loop {
-            // Advance the globally-oldest core by one memory access.
-            let i = self
-                .cores
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.clock.total_cmp(&b.1.clock))
-                .map(|(i, _)| i)
-                .expect("at least one core");
-            self.step(i);
-
-            let c = &mut self.cores[i];
-            if c.warm_snap.is_none() && c.counters.instrs >= warmup_instrs {
-                c.warm_snap = Some(c.counters);
-                if self.global_warm.is_none() && self.cores.iter().all(|c| c.warm_snap.is_some()) {
-                    self.global_warm = Some(self.global);
-                }
-            }
-            let c = &mut self.cores[i];
-            if let Some(w) = c.warm_snap {
-                if c.end_snap.is_none() && c.counters.instrs - w.instrs >= instr_target {
-                    c.end_snap = Some(c.counters);
-                }
-            }
-            if self.cores.iter().all(|c| c.end_snap.is_some()) {
-                break;
-            }
-            if !after_step(self) {
-                return None;
-            }
-        }
-        Some(self.result())
     }
 
     fn result(&self) -> RunResult {
@@ -990,10 +730,17 @@ impl<P: ObsProbe> CmpSystem<P> {
 
     /// Total simulated L1 accesses across every core since construction
     /// (warm-up included) — the numerator live-throughput observers divide
-    /// by wall-clock time. Only consistent outside a batched drain, i.e.
-    /// from run hooks or after a run returns.
+    /// by wall-clock time. Only consistent outside a run, i.e. from its
+    /// hooks or after it returns.
     pub fn total_accesses(&self) -> u64 {
         self.cores.iter().map(|c| c.counters.l1_accesses).sum()
+    }
+
+    /// Core `core`'s simulated clock in cycles — the key the scheduler
+    /// orders cores by. Like [`total_accesses`](CmpSystem::total_accesses),
+    /// only consistent outside a run.
+    pub fn clock(&self, core: usize) -> f64 {
+        self.cores[core].clock
     }
 
     /// Counters accumulated since construction, with *no* warm-up
@@ -1033,66 +780,23 @@ impl<P: ObsProbe> CmpSystem<P> {
         }
     }
 
-    /// Advances core `i` by one memory access (public for fine-grained
-    /// tests).
+    /// Advances core `i` by one memory access through the event loop's
+    /// own per-access path (public for fine-grained tests and the lockstep
+    /// oracle suites).
     pub fn step(&mut self, i: usize) {
-        let acc = self.cores[i].source.feed.next_access();
+        let mut h = HotCore::load(&self.cores[i]);
         let cpu = self.cores[i].source.cpu;
-        {
-            let c = &mut self.cores[i];
-            c.carry += 1.0 / cpu.mem_fraction;
-            let n = (c.carry as u64).max(1);
-            c.carry -= n as f64;
-            c.counters.instrs += n;
-            c.cycles_add(n as f64 * cpu.base_cpi);
-            c.counters.l1_accesses += 1;
-        }
-        let line = acc.addr.line(self.cfg.l1.offset_bits());
-        let l1_hit = self.l1s[i].access(line).is_some();
-        let latency = if l1_hit {
-            self.cores[i].counters.l1_hits += 1;
-            if acc.kind.is_store() {
-                // Write-through below L1 with a coalescing write buffer:
-                // the L2 copy's state is updated (dirtiness, coherence
-                // upgrade) but the buffered write does not occupy the L2 —
-                // no recency promotion, no statistics, no policy event.
-                self.upgrade_for_store(i, line);
-            }
-            0
-        } else {
-            let (lat, fill_l1) = self.l2_access(i, line, acc.kind, acc.stream);
-            if fill_l1 {
-                // Fill L1 (evictions are silent: write-through keeps L1 clean).
-                let set = self.cfg.l1.set_of(line);
-                let way = self.l1s[i].set(set).default_victim();
-                self.l1s[i].fill(
-                    set,
-                    way,
-                    CacheLine::demand(line, MesiState::Exclusive),
-                    InsertPos::Mru,
-                    FillKind::Demand,
-                );
-            }
-            lat
-        };
-        let c = &mut self.cores[i];
-        if !acc.kind.is_store() && latency > 0 {
-            c.cycles_add(latency as f64 * cpu.overlap);
-        }
-        if self.cycle_work {
-            self.policy.on_cycle(CoreId(i as u8), c.clock as u64);
-        }
-        if P::ACTIVE {
-            self.forward_policy_events();
-            if self.epoch_accesses > 0 && self.epoch_counter >= self.epoch_accesses {
-                self.epoch_counter -= self.epoch_accesses;
-                let snap = self.policy.snapshot();
-                self.probe.on_epoch(self.epoch_index, &snap);
-                self.epoch_index += 1;
-            }
-        }
-        #[cfg(feature = "debug-invariants")]
-        self.debug_check_invariants();
+        let acc = self.cores[i].source.feed.next_access();
+        self.core_access(
+            i,
+            &mut h,
+            1.0 / cpu.mem_fraction,
+            &cpu,
+            acc.addr,
+            acc.kind,
+            acc.stream,
+        );
+        self.flush_hot(i, &h);
     }
 
     /// Full structural-invariant sweep, run after every step under the
@@ -1802,13 +1506,6 @@ impl<P: ObsProbe> CmpSystem<P> {
     }
 }
 
-impl CoreState {
-    fn cycles_add(&mut self, dc: f64) {
-        self.clock += dc;
-        self.counters.cycles += dc;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1923,6 +1620,15 @@ mod tests {
         // Byte-identical end-state snapshots: every cache slab, counter,
         // policy register and RNG stream agrees, not just the results.
         assert_eq!(straight_end, resumed.snapshot());
+    }
+
+    #[test]
+    fn a_finished_run_returns_its_result_again() {
+        // Every core has its end snapshot, so no access could ever end
+        // the run again: it must return rather than loop.
+        let mut sys = two_core_ascc();
+        let r = sys.run(20_000, 5_000);
+        assert_eq!(sys.run(20_000, 5_000), r);
     }
 
     #[test]

@@ -431,90 +431,9 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     result
 }
 
-/// Checkpoint cadence: "take a snapshot every `every` steps", with the
-/// stepping counter kept here so every checkpointing site (the batch
-/// runner's per-access hook, the daemon's runtime-tunable cadence) counts
-/// identically. `every = 0` disables ticking entirely.
-///
-/// The cadence is deliberately *not* serialised into snapshots: how often
-/// state is captured is an operational knob, not architectural state, and
-/// changing it mid-run (e.g. through the control plane's `PUT /config`)
-/// must not perturb resumed results.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Cadence {
-    every: u64,
-    since: u64,
-}
-
-impl Cadence {
-    /// A cadence firing every `every` ticks (`0` never fires).
-    pub fn new(every: u64) -> Self {
-        Cadence { every, since: 0 }
-    }
-
-    /// The configured period (`0` = disabled).
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
-    /// Whether this cadence can ever fire.
-    pub fn is_enabled(&self) -> bool {
-        self.every > 0
-    }
-
-    /// Re-periods the cadence; the partial progress toward the next firing
-    /// is reset so the next checkpoint lands a full (new) period away.
-    pub fn set_every(&mut self, every: u64) {
-        self.every = every;
-        self.since = 0;
-    }
-
-    /// Counts one step; returns `true` when a full period has elapsed (and
-    /// resets the partial count).
-    pub fn tick(&mut self) -> bool {
-        if self.every == 0 {
-            return false;
-        }
-        self.since += 1;
-        if self.since >= self.every {
-            self.since = 0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cadence_fires_every_n_ticks() {
-        let mut c = Cadence::new(3);
-        let fires: Vec<bool> = (0..7).map(|_| c.tick()).collect();
-        assert_eq!(fires, [false, false, true, false, false, true, false]);
-        assert!(c.is_enabled());
-        assert_eq!(c.every(), 3);
-    }
-
-    #[test]
-    fn cadence_zero_never_fires() {
-        let mut c = Cadence::new(0);
-        assert!(!c.is_enabled());
-        assert!((0..100).all(|_| !c.tick()));
-    }
-
-    #[test]
-    fn cadence_reperiod_resets_progress() {
-        let mut c = Cadence::new(4);
-        c.tick();
-        c.tick();
-        c.tick();
-        c.set_every(2);
-        assert!(!c.tick(), "partial progress was discarded");
-        assert!(c.tick(), "a full new period elapsed");
-    }
 
     #[test]
     fn scalar_round_trip() {

@@ -11,8 +11,8 @@
 pub mod diff;
 
 use ascc::{ArcConfig, AsccConfig, AvgccConfig, RdcbConfig, TinyLfuConfig};
-use cmp_cache::{CacheGeometry, LlcPolicy, PrivateBaseline};
-use cmp_sim::SystemConfig;
+use cmp_cache::{CacheGeometry, LlcPolicy, ObsProbe, PrivateBaseline};
+use cmp_sim::{CmpSystem, SystemConfig};
 use spill_baselines::{CcPolicy, DsrConfig, DsrDipPolicy, EccConfig};
 
 /// A downscaled Table 2 system: same shape, 1/16 the capacity, so
@@ -44,6 +44,55 @@ pub fn all_policies(cfg: &SystemConfig) -> Vec<Box<dyn LlcPolicy>> {
         Box::new(TinyLfuConfig::for_geometry(cores, sets, ways).build()),
         Box::new(RdcbConfig::new(cores, sets, ways).build()),
     ]
+}
+
+/// The reference interleave, spelled out: `n` times, step the core with
+/// the smallest clock — a linear `total_cmp` scan, so ties go to the
+/// lowest index — through the public [`CmpSystem::step`]. The event loop
+/// ([`CmpSystem::try_run_batched`]) is checked against it.
+pub fn reference_steps<P: ObsProbe>(sys: &mut CmpSystem<P>, n: u64) {
+    for _ in 0..n {
+        sys.step(reference_pick(sys));
+    }
+}
+
+/// The reference's next core: the first index attaining the minimum
+/// clock under `total_cmp`.
+pub fn reference_pick<P: ObsProbe>(sys: &CmpSystem<P>) -> usize {
+    let mut i = 0;
+    for j in 1..sys.l1s().len() {
+        if sys.clock(j).total_cmp(&sys.clock(i)) == std::cmp::Ordering::Less {
+            i = j;
+        }
+    }
+    i
+}
+
+/// The event loop stopped by its hook after exactly `n` global accesses.
+/// Warm-up is never reached, so — like [`reference_steps`] — it captures
+/// no measurement window.
+pub fn loop_steps<P: ObsProbe>(sys: &mut CmpSystem<P>, n: u64) {
+    let aborted = sys.try_run_batched(1, u64::MAX, n, |_| false);
+    assert!(aborted.is_none(), "the stopping hook must end the run");
+}
+
+/// Runs `n` accesses of two systems from `build` — one through
+/// [`reference_steps`], one through [`loop_steps`] — and asserts their
+/// snapshot bytes (every cache slab, counter, policy register, RNG stream
+/// and feed position) agree. Returns the pair for further checks.
+pub fn assert_loop_matches_reference<P: ObsProbe>(
+    mut build: impl FnMut() -> CmpSystem<P>,
+    n: u64,
+    what: &str,
+) -> (CmpSystem<P>, CmpSystem<P>) {
+    let (mut reference, mut looped) = (build(), build());
+    reference_steps(&mut reference, n);
+    loop_steps(&mut looped, n);
+    assert!(
+        looped.snapshot() == reference.snapshot(),
+        "{what}: the event loop's state after {n} accesses diverged from the reference"
+    );
+    (reference, looped)
 }
 
 #[cfg(test)]

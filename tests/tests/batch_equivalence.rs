@@ -1,25 +1,31 @@
-//! Batched-vs-streaming engine equivalence (DESIGN.md §5h).
+//! The event loop against the reference interleave (DESIGN.md §5h).
 //!
-//! The batched event loop drains whole trace-chunk runs per core instead of
-//! re-scheduling after every access; it must be *bit-identical* to the
-//! streaming interleave it replaced. Five layers of evidence:
+//! The engine runs every access through one event loop, which picks the
+//! next core from a winner tree and serves accesses from cached chunk
+//! runs. The reference is the interleave spelled out in the test crate
+//! ([`reference_steps`]): a linear first-minimum scan over the cores'
+//! clocks and one public `step(i)` per access. The test names date from
+//! when the engine ran this interleave several ways: "batched" and "step
+//! mode" now mean the event loop, "streaming" the reference. Layers of
+//! evidence:
 //!
-//! * every policy in the zoo produces the same `RunResult` *and* the same
-//!   end-state snapshot bytes under both front-ends;
-//! * an 8-worker `SweepPool` of batched runs is byte-identical to the
-//!   sequential streaming engine;
-//! * the batched hook fires at *exactly* every `hook_every` global accesses
-//!   (the `ASCC_CKPT_EVERY` contract), and a run aborted at a mid-batch
-//!   checkpoint restores and finishes bit-identically;
-//! * at 16 and 32 cores, where drains degenerate and the loop runs in
-//!   step mode, the same identities hold for arena- and generator-fed
-//!   runs, through hooks and a mid-run restore, and across chunk edges
-//!   every 1 to 64 accesses;
-//! * a real mid-batch SIGKILL of a checkpointed `run_mix` child process,
-//!   followed by `ASCC_RESUME=1`, reproduces the uninterrupted run's
-//!   result byte-for-byte.
+//! * after N accesses, every policy in the zoo leaves the same snapshot
+//!   bytes under both, arena- and generator-fed;
+//! * an 8-worker `SweepPool` of event-loop runs matches the sequential
+//!   reference byte for byte;
+//! * the hook fires at *exactly* every `hook_every` global accesses (the
+//!   `ASCC_CKPT_EVERY` contract), and a run aborted at a checkpoint
+//!   restores and finishes bit-identically;
+//! * at 16 and 32 cores, where the schedule changes core nearly every
+//!   access, the same identities hold for arena- and generator-fed runs,
+//!   through hooks and a mid-run restore, and across chunk edges every 1
+//!   to 64 accesses;
+//! * a real SIGKILL of a checkpointed `run_mix` child process, followed
+//!   by `ASCC_RESUME=1`, reproduces the uninterrupted run's result
+//!   byte-for-byte.
 
-use ascc_integration::{all_policies, small_config};
+use ascc_integration::{all_policies, assert_loop_matches_reference, small_config};
+use ascc_integration::{loop_steps, reference_pick, reference_steps};
 use cmp_cache::{CacheGeometry, LlcPolicy};
 use cmp_sim::{mix_sources, mix_workloads, CmpSystem, SweepPool, SystemConfig};
 use cmp_trace::{mixes_for, two_app_mixes};
@@ -27,6 +33,9 @@ use cmp_trace::{mixes_for, two_app_mixes};
 const INSTRS: u64 = 40_000;
 const WARMUP: u64 = 10_000;
 const SEED: u64 = 11;
+/// Accesses the 2-core cases compare: about what a full
+/// `INSTRS + WARMUP` run executes (46–58 k on the pressured mixes).
+const STEPS: u64 = 50_000;
 
 /// A pressured 2-core system (16 kB 4-way L2) so evictions, spills and
 /// adaptive-policy state changes all happen within a short run.
@@ -42,46 +51,42 @@ fn sys_for(cfg: &SystemConfig, mix_idx: usize, policy: Box<dyn LlcPolicy>) -> Cm
     CmpSystem::from_sources(cfg.clone(), policy, mix_sources(mix, SEED))
 }
 
-/// Every policy the simulator can drive: batched run == streaming run, down
-/// to the end-state snapshot bytes (tags, recency words, policy state,
-/// cursor positions — everything `snapshot()` serializes).
+/// Every policy the simulator can drive: the event loop's state after
+/// N accesses equals the reference's, down to the snapshot bytes (tags,
+/// recency words, policy state, cursor positions — everything
+/// `snapshot()` serializes).
 #[test]
 fn batched_matches_streaming_for_every_policy() {
     let cfg = pressured_cfg();
-    for (a, b) in all_policies(&cfg).into_iter().zip(all_policies(&cfg)) {
-        let name = a.name().to_string();
-        let mut streaming = sys_for(&cfg, 0, a);
-        let mut batched = sys_for(&cfg, 0, b);
-        let rs = streaming.run_streaming(INSTRS, WARMUP);
-        let rb = batched.run_batched(INSTRS, WARMUP);
-        assert_eq!(rb, rs, "{name}: RunResult diverged under batching");
-        assert_eq!(
-            batched.snapshot(),
-            streaming.snapshot(),
-            "{name}: end-state snapshot diverged under batching"
-        );
+    for idx in 0..all_policies(&cfg).len() {
+        let name = all_policies(&cfg).remove(idx).name().to_string();
+        let build = || sys_for(&cfg, 0, all_policies(&cfg).remove(idx));
+        assert_loop_matches_reference(build, STEPS, &name);
     }
 }
 
-/// The streaming workload path (no materialized chunks, so every access
-/// goes through the batched loop's per-access fallback) is also identical.
+/// Generator-fed cores (no materialized chunks, so every access goes
+/// through the loop's per-access pull) match the reference too.
 #[test]
 fn batched_matches_streaming_without_trace_chunks() {
     let cfg = small_config(2);
     let mix = &two_app_mixes()[1];
-    for (a, b) in all_policies(&cfg).into_iter().zip(all_policies(&cfg)) {
-        let name = a.name().to_string();
-        let mut streaming = CmpSystem::new(cfg.clone(), a, mix_workloads(mix, SEED));
-        let mut batched = CmpSystem::new(cfg.clone(), b, mix_workloads(mix, SEED));
-        let rs = streaming.run_streaming(INSTRS, WARMUP);
-        let rb = batched.run_batched(INSTRS, WARMUP);
-        assert_eq!(rb, rs, "{name}: generator-fed RunResult diverged");
+    for idx in 0..all_policies(&cfg).len() {
+        let name = all_policies(&cfg).remove(idx).name().to_string();
+        let build = || {
+            CmpSystem::new(
+                cfg.clone(),
+                all_policies(&cfg).remove(idx),
+                mix_workloads(mix, SEED),
+            )
+        };
+        assert_loop_matches_reference(build, STEPS, &format!("{name}, generator-fed"));
     }
 }
 
-/// An 8-worker sweep of *batched* runs must be byte-identical to the
-/// sequential *streaming* engine — batching composes with the parallel
-/// fan-out without perturbing any run.
+/// An 8-worker sweep of event-loop runs must be byte-identical to the
+/// sequential reference — the loop composes with the parallel fan-out
+/// without perturbing any run.
 #[test]
 fn eight_worker_batched_sweep_matches_sequential_streaming() {
     let cfg = pressured_cfg();
@@ -93,28 +98,33 @@ fn eight_worker_batched_sweep_matches_sequential_streaming() {
             Box::new(cmp_cache::PrivateBaseline::new())
         }
     };
-    let sequential: Vec<_> = jobs
+    let sequential: Vec<Vec<u8>> = jobs
         .iter()
-        .map(|&(m, a)| sys_for(&cfg, m, build(a)).run_streaming(INSTRS, WARMUP))
+        .map(|&(m, a)| {
+            let mut sys = sys_for(&cfg, m, build(a));
+            reference_steps(&mut sys, STEPS);
+            sys.snapshot()
+        })
         .collect();
     let parallel = SweepPool::with_jobs(8).map(jobs, |(m, a)| {
-        sys_for(&cfg, m, build(a)).run_batched(INSTRS, WARMUP)
+        let mut sys = sys_for(&cfg, m, build(a));
+        loop_steps(&mut sys, STEPS);
+        sys.snapshot()
     });
-    assert_eq!(
-        parallel, sequential,
-        "an 8-worker batched sweep diverged from the sequential streaming engine"
+    assert!(
+        parallel == sequential,
+        "an 8-worker sweep of the event loop diverged from the sequential reference"
     );
 }
 
-/// `ASCC_CKPT_EVERY` semantics under batching: the hook fires at *exactly*
-/// every `hook_every` global accesses even when that lands mid-drain, with
-/// state flushed enough to snapshot.
+/// `ASCC_CKPT_EVERY` semantics: the hook fires at *exactly* every
+/// `hook_every` global accesses, with state flushed enough to snapshot.
 #[test]
 fn batched_hook_fires_at_exact_global_access_multiples() {
     let cfg = pressured_cfg();
     let policy = all_policies(&cfg).remove(6); // ASCC
     let mut sys = sys_for(&cfg, 0, policy);
-    const EVERY: u64 = 7_001; // coprime to chunk and batch sizes
+    const EVERY: u64 = 7_001; // coprime to the chunk size
     let mut fired = 0u64;
     sys.try_run_batched(INSTRS, WARMUP, EVERY, |s| {
         fired += 1;
@@ -132,8 +142,8 @@ fn batched_hook_fires_at_exact_global_access_multiples() {
     );
 }
 
-/// A run killed at a mid-batch checkpoint resumes bit-identically: abort
-/// the batched run from its Nth hook (state exactly as a SIGKILL after the
+/// A run killed at a checkpoint resumes bit-identically: abort the run
+/// from its Nth hook (state exactly as a SIGKILL after the
 /// Nth checkpoint write would leave on disk), restore a fresh system from
 /// that snapshot and finish — same `RunResult`, same end snapshot.
 #[test]
@@ -143,7 +153,7 @@ fn mid_batch_checkpoint_restores_bit_identically() {
         let build = || all_policies(&cfg).remove(idx);
         let name = build().name().to_string();
         let mut straight = sys_for(&cfg, 0, build());
-        let straight_result = straight.run_batched(INSTRS, WARMUP);
+        let straight_result = straight.run(INSTRS, WARMUP);
         let straight_end = straight.snapshot();
 
         let mut victim = sys_for(&cfg, 0, build());
@@ -164,31 +174,30 @@ fn mid_batch_checkpoint_restores_bit_identically() {
         resumed
             .restore(&ckpt)
             .unwrap_or_else(|e| panic!("{name}: restore: {e}"));
-        let resumed_result = resumed.run_batched(INSTRS, WARMUP);
+        let resumed_result = resumed.run(INSTRS, WARMUP);
         assert_eq!(
             resumed_result, straight_result,
-            "{name}: RunResult diverged after mid-batch restore"
+            "{name}: RunResult diverged after a mid-run restore"
         );
         assert_eq!(
             resumed.snapshot(),
             straight_end,
-            "{name}: end snapshot diverged after mid-batch restore"
+            "{name}: end snapshot diverged after a mid-run restore"
         );
     }
 }
 
-// ----- step mode: 16 and 32 cores ----------------------------------------
+// ----- 16 and 32 cores ---------------------------------------------------
 //
-// At 16+ cores the drains above degenerate toward single accesses, and the
-// batched loop switches to step mode: first-minimum picks from a winner
-// tree. The 2-core cases never reach it. These runs are sized so it
-// engages, checked once by logging each step-run start: every 16-core
-// run entered step mode 6–7 times and every 32-core run 16 times, arena-
-// and generator-fed alike, and each of the 147 hook periods of the
-// 32-core cadence test re-entered it once after its re-probe.
+// At 16+ cores the schedule moves to another core after nearly every
+// access, so the winner tree's picks and the schedule-ahead prefetch
+// carry the run, where at 2 cores one core often keeps the schedule.
 
 const WIDE_INSTRS: u64 = 20_000;
 const WIDE_WARMUP: u64 = 5_000;
+/// Accesses the 32-core cases compare (half that at 16 cores): about
+/// what a full `WIDE_INSTRS + WIDE_WARMUP` run executes.
+const WIDE_STEPS: u64 = 1_000_000;
 
 /// Baseline (every access local) and ASCC (spills, swaps and coherence
 /// traffic between the private L2s).
@@ -213,43 +222,73 @@ fn wide_sys(cores: usize, ascc: bool, arena: bool) -> CmpSystem {
     }
 }
 
-fn assert_wide_step_mode_matches_streaming(arena: bool) {
+fn assert_wide_loop_matches_reference(arena: bool) {
     for cores in [16, 32] {
         for ascc in [false, true] {
             let what = format!("{cores} cores, ascc={ascc}, arena={arena}");
-            let mut streaming = wide_sys(cores, ascc, arena);
-            let mut batched = wide_sys(cores, ascc, arena);
-            let rs = streaming.run_streaming(WIDE_INSTRS, WIDE_WARMUP);
-            let rb = batched.run_batched(WIDE_INSTRS, WIDE_WARMUP);
-            assert_eq!(rb, rs, "{what}: RunResult diverged in step mode");
-            assert!(
-                batched.snapshot() == streaming.snapshot(),
-                "{what}: end-state snapshot diverged in step mode"
-            );
+            let steps = WIDE_STEPS * cores as u64 / 32;
+            assert_loop_matches_reference(|| wide_sys(cores, ascc, arena), steps, &what);
         }
     }
 }
 
 #[test]
 fn step_mode_matches_streaming_at_16_and_32_cores_from_the_arena() {
-    assert_wide_step_mode_matches_streaming(true);
+    assert_wide_loop_matches_reference(true);
 }
 
 #[test]
 fn step_mode_matches_streaming_at_16_and_32_cores_from_generators() {
-    assert_wide_step_mode_matches_streaming(false);
+    assert_wide_loop_matches_reference(false);
 }
 
-/// 32 cores with a hook period coprime to `STEP_RUN` (2^16) and
-/// `PROBE_WINDOW` (2^11), so hooks land mid step run at shifting offsets:
-/// the hook fires on exact multiples, the hooked run equals streaming, and
-/// a run aborted at its third hook restores and finishes bit-identically.
+/// The loop's pick order itself, not only where it ends up. At a width
+/// that is not a power of two the tree's bottom-up layout puts
+/// higher-index leaves left of lower ones (at 6 cores, leaves 2–5 sit
+/// left of 0–1), and a run starts with every clock tied at zero: a tie
+/// settled by tree position instead of core index shows on the first
+/// pick, though hardly in the end state. With a hook after every access
+/// exactly one clock has moved, naming the core that ran.
+#[test]
+fn loop_picks_the_reference_order_at_six_cores() {
+    const N: u64 = 20_000;
+    let mut reference = wide_sys(6, true, true);
+    let picks: Vec<usize> = (0..N)
+        .map(|_| {
+            let i = reference_pick(&reference);
+            reference.step(i);
+            i
+        })
+        .collect();
+    let mut looped = wide_sys(6, true, true);
+    let mut clocks: Vec<f64> = (0..6).map(|i| looped.clock(i)).collect();
+    let mut order = Vec::new();
+    looped.try_run_batched(1, u64::MAX, 1, |s| {
+        let ran = (0..6)
+            .find(|&i| s.clock(i) != clocks[i])
+            .expect("a core ran");
+        clocks[ran] = s.clock(ran);
+        order.push(ran);
+        (order.len() as u64) < N
+    });
+    assert!(order == picks, "the event loop's pick order diverged");
+    assert!(
+        looped.snapshot() == reference.snapshot(),
+        "end state diverged"
+    );
+    assert_loop_matches_reference(|| wide_sys(6, false, true), WIDE_STEPS / 4, "6 cores");
+}
+
+/// 32 cores with a hook period coprime to the chunk size, so hooks land
+/// at shifting offsets: the hook fires on exact multiples, the hooked run
+/// equals the straight one, and a run aborted at its third hook restores
+/// and finishes bit-identically.
 #[test]
 fn step_mode_hooks_and_mid_run_restore_at_32_cores() {
     const EVERY: u64 = 7_001;
-    let mut streaming = wide_sys(32, true, true);
-    let rs = streaming.run_streaming(WIDE_INSTRS, WIDE_WARMUP);
-    let end = streaming.snapshot();
+    let mut straight = wide_sys(32, true, true);
+    let rs = straight.run(WIDE_INSTRS, WIDE_WARMUP);
+    let end = straight.snapshot();
 
     let mut hooked = wide_sys(32, true, true);
     let mut fired = 0u64;
@@ -265,7 +304,7 @@ fn step_mode_hooks_and_mid_run_restore_at_32_cores() {
         })
         .expect("an always-continue hook cannot abort the run");
     assert!(fired >= 10, "run too short for the cadence ({fired} hooks)");
-    assert_eq!(rh, rs, "hooked RunResult diverged from streaming");
+    assert_eq!(rh, rs, "hooked RunResult diverged from the straight run");
     assert!(hooked.snapshot() == end, "hooked end state diverged");
 
     let mut victim = wide_sys(32, true, true);
@@ -281,7 +320,7 @@ fn step_mode_hooks_and_mid_run_restore_at_32_cores() {
     resumed
         .restore(&ckpt.expect("a checkpoint"))
         .unwrap_or_else(|e| panic!("restore: {e}"));
-    let rr = resumed.run_batched(WIDE_INSTRS, WIDE_WARMUP);
+    let rr = resumed.run(WIDE_INSTRS, WIDE_WARMUP);
     assert_eq!(rr, rs, "RunResult diverged after a mid-run restore");
     assert!(
         resumed.snapshot() == end,
@@ -289,15 +328,13 @@ fn step_mode_hooks_and_mid_run_restore_at_32_cores() {
     );
 }
 
-/// Step mode's schedule-ahead prefetch reads the chunk at a core's next
-/// access and `PF_DIST` past it, clamped to the chunk, and a chunk
-/// boundary sends the core through `refresh_chunk`. Arena chunks hold 64 Ki
-/// accesses, so the runs above cross few boundaries; here every core
-/// replays its own `SharedTrace` cut into chunks of `k` accesses, so a
-/// boundary falls every access (k = 1), at odd offsets (7, 9: below and
-/// just above `PF_DIST`) or every 64 (one store word). Step mode was
-/// checked to engage by logging each step-run start on a build of this
-/// test: each of the eight batched runs entered it 16 times.
+/// The loop's prefetches read the chunk up to `PF_DIST` past a core's
+/// next access, clamped to the chunk, and a chunk boundary sends the core
+/// through `refresh_chunk`. Arena chunks hold 64 Ki accesses, so the runs
+/// above cross few boundaries; here every core replays its own
+/// `SharedTrace` cut into chunks of `k` accesses, so a boundary falls
+/// every access (k = 1), at odd offsets (7, 9: below and just above
+/// `PF_DIST`) or every 64 (one store word).
 #[test]
 fn step_mode_matches_streaming_across_chunk_edges_at_32_cores() {
     use cmp_sim::{core_seed, CORE_SPACE_BITS};
@@ -329,14 +366,7 @@ fn step_mode_matches_streaming_across_chunk_edges_at_32_cores() {
         for ascc in [false, true] {
             let what = format!("chunks of {k}, ascc={ascc}");
             let sys = || CmpSystem::from_sources(cfg.clone(), wide_policy(&cfg, ascc), sources());
-            let (mut streaming, mut batched) = (sys(), sys());
-            let rs = streaming.run_streaming(WIDE_INSTRS, WIDE_WARMUP);
-            let rb = batched.run_batched(WIDE_INSTRS, WIDE_WARMUP);
-            assert_eq!(rb, rs, "{what}: RunResult diverged in step mode");
-            assert!(
-                batched.snapshot() == streaming.snapshot(),
-                "{what}: end-state snapshot diverged in step mode"
-            );
+            assert_loop_matches_reference(sys, WIDE_STEPS, &what);
         }
     }
 }
@@ -361,8 +391,7 @@ fn sigkill_child_entry() {
     println!("RESULT {r:?}");
 }
 
-/// The satellite regression: a checkpointed batched `run_mix` child is
-/// SIGKILLed mid-batch; rerunning with `ASCC_RESUME=1` restores the
+/// A checkpointed `run_mix` child is SIGKILLed mid-run; rerunning with `ASCC_RESUME=1` restores the
 /// on-disk checkpoint and lands on the *byte-identical* result of an
 /// uninterrupted run.
 #[test]
@@ -408,7 +437,7 @@ fn sigkill_mid_batch_resumes_byte_identically() {
     let reference = result_line(&child(&[]).output().expect("reference child"));
 
     // 2. A checkpointed run, SIGKILLed as soon as a checkpoint lands on
-    //    disk — i.e. mid-batch, a few thousand accesses into the run.
+    //    disk — i.e. a few thousand accesses into the run.
     let mut victim = child(&[("ASCC_CKPT_EVERY", "5000"), ("ASCC_CKPT_DIR", &dirs)])
         .stdout(Stdio::null())
         .stderr(Stdio::null())

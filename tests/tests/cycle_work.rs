@@ -4,10 +4,10 @@
 //! is exact only if such a policy's `on_cycle` never changes state, which
 //! these tests pin for every policy the experiments build; they also pin
 //! which policies answer `true`, and that a policy with cycle work runs
-//! bit-identically under both engine front-ends.
+//! bit-identically under the event loop and the reference interleave.
 
 use ascc::{AvgccConfig, TinyLfuConfig};
-use ascc_integration::{all_policies, small_config};
+use ascc_integration::{all_policies, assert_loop_matches_reference, small_config};
 use cmp_cache::{AccessOutcome, CoreId, LlcPolicy, ObsEvent, SetIdx, VecProbe};
 use cmp_sim::{mix_sources, CmpSystem};
 use cmp_snap::SnapWriter;
@@ -101,12 +101,12 @@ fn qos_epoch_changes_state() {
     );
 }
 
-/// A QoS-AVGCC system runs bit-identically under the batched and the
-/// streaming front-end, at 2 cores (drains) and 32 cores (step mode), with
-/// the QoS epochs — the only `on_cycle` work there is — firing in both.
+/// A QoS-AVGCC system runs bit-identically under the event loop and the
+/// reference interleave, at 2 and 32 cores, with the QoS epochs — the
+/// only `on_cycle` work there is — firing in both.
 #[test]
 fn qos_avgcc_batched_matches_streaming() {
-    for (cores, instrs, warmup) in [(2, 200_000, 50_000), (32, 20_000, 5_000)] {
+    for (cores, steps) in [(2, 400_000), (32, 1_000_000)] {
         let cfg = small_config(cores);
         let mix = &mixes_for(cores)[0];
         let sys = || {
@@ -120,14 +120,8 @@ fn qos_avgcc_batched_matches_streaming() {
                 0,
             )
         };
-        let (mut streaming, mut batched) = (sys(), sys());
-        let rs = streaming.run_streaming(instrs, warmup);
-        let rb = batched.run_batched(instrs, warmup);
-        assert_eq!(rb, rs, "{cores} cores: RunResult diverged");
-        assert!(
-            batched.snapshot() == streaming.snapshot(),
-            "{cores} cores: end-state snapshot diverged"
-        );
+        let (reference, looped) =
+            assert_loop_matches_reference(sys, steps, &format!("{cores} cores"));
         let updates = |s: &CmpSystem<VecProbe>| {
             s.probe()
                 .events
@@ -135,11 +129,11 @@ fn qos_avgcc_batched_matches_streaming() {
                 .filter(|e| matches!(e, ObsEvent::QosRatioUpdate { .. }))
                 .count()
         };
-        assert_eq!(updates(&batched), updates(&streaming));
+        assert_eq!(updates(&looped), updates(&reference));
         assert!(
-            updates(&batched) >= cores,
+            updates(&looped) >= cores,
             "{cores} cores: too few QoS epochs ({}) to exercise on_cycle",
-            updates(&batched)
+            updates(&looped)
         );
     }
 }

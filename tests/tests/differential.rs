@@ -266,34 +266,37 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-    /// The batched event loop (`ASCC_BATCH` on, the default) never diverges
-    /// from the per-access streaming interleave: random mix/policy/scale
-    /// draws must produce bit-identical results *and* end-state snapshots.
+    /// The event loop never diverges from the reference interleave (a
+    /// linear first-minimum scan stepping one core at a time): random
+    /// mix/policy/seed/length draws must leave identical snapshot bytes.
     /// The scripted oracle cases above drive `step()` directly and so
-    /// bypass the front-end; this case covers the batched front-end the
-    /// real experiment binaries run.
+    /// bypass the loop's scheduler and chunk cache; this case covers the
+    /// loop the real experiment binaries run.
     #[test]
     fn batched_front_end_matches_streaming(
         mix_idx in 0usize..14,
         policy_idx in 0usize..14,
         seed in 0u64..1 << 16,
-        instrs in 10_000u64..50_000,
+        steps in 5_000u64..25_000,
     ) {
-        use ascc_integration::{all_policies, small_config};
+        use ascc_integration::{all_policies, loop_steps, reference_steps, small_config};
         use cmp_sim::{mix_sources, CmpSystem};
         use cmp_trace::two_app_mixes;
         let cfg = small_config(2);
         let mix = &two_app_mixes()[mix_idx];
-        let build = || all_policies(&cfg).remove(policy_idx);
-        let mut streaming = CmpSystem::from_sources(cfg.clone(), build(), mix_sources(mix, seed));
-        let mut batched = CmpSystem::from_sources(cfg.clone(), build(), mix_sources(mix, seed));
-        let rs = streaming.run_streaming(instrs, instrs / 4);
-        let rb = batched.run_batched(instrs, instrs / 4);
-        prop_assert_eq!(rb, rs, "batched front-end diverged from streaming");
-        prop_assert_eq!(
-            batched.snapshot(),
-            streaming.snapshot(),
-            "batched end-state snapshot diverged from streaming"
+        let build = || {
+            CmpSystem::from_sources(
+                cfg.clone(),
+                all_policies(&cfg).remove(policy_idx),
+                mix_sources(mix, seed),
+            )
+        };
+        let (mut reference, mut looped) = (build(), build());
+        reference_steps(&mut reference, steps);
+        loop_steps(&mut looped, steps);
+        prop_assert!(
+            looped.snapshot() == reference.snapshot(),
+            "the event loop's state diverged from the reference"
         );
     }
 }

@@ -262,3 +262,60 @@ fn engine_matches_seed_goldens() {
          change is deliberate, regenerate with ASCC_BLESS=1"
     );
 }
+
+// ----- shared-LLC goldens (the §6.1 comparison system) -------------------
+
+fn shared_golden_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/shared_llc_identity.json")
+}
+
+/// The shared interleaved LLC at 2 and 4 cores over the small golden
+/// caches, so the LLC misses, evicts and back-invalidates every L1.
+fn capture_shared() -> Value {
+    use cmp_sim::{mix_sources, mix_workloads, SharedConfig, SharedLlcSystem};
+    let widths: Vec<Value> = [2usize, 4]
+        .iter()
+        .map(|&cores| {
+            let shared = SharedConfig::from_private(&wide_cfg(cores));
+            let mix = &mixes_for(cores)[0];
+            let r = SharedLlcSystem::from_sources(shared.clone(), mix_sources(mix, SEED))
+                .run(INSTRS, WARMUP);
+            // Generator-fed cores must interleave exactly as arena-fed ones.
+            let g = SharedLlcSystem::new(shared, mix_workloads(mix, SEED)).run(INSTRS, WARMUP);
+            assert_eq!(r, g, "{cores} cores: generator-fed shared LLC diverged");
+            Value::object()
+                .insert("cores", cores as f64)
+                .insert("mix", mix.name.clone())
+                .insert("run", run_to_json(&r))
+        })
+        .collect();
+    Value::object()
+        .insert("instrs", INSTRS as f64)
+        .insert("warmup", WARMUP as f64)
+        .insert("seed", SEED as f64)
+        .insert("widths", Value::Array(widths))
+}
+
+/// Pins `SharedLlcSystem`'s `RunResult` (cycles as IEEE bits) at 2 and 4
+/// cores, so its interleave cannot drift unseen.
+#[test]
+fn shared_llc_matches_goldens() {
+    let got = capture_shared().pretty();
+    let path = shared_golden_path();
+    if std::env::var("ASCC_BLESS").is_ok_and(|v| v != "0") {
+        std::fs::write(&path, &got).unwrap();
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); run with ASCC_BLESS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        got, want,
+        "shared-LLC output diverged from the goldens; if the behaviour \
+         change is deliberate, regenerate with ASCC_BLESS=1"
+    );
+}
